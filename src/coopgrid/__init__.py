@@ -27,7 +27,6 @@ from .centralized import (
     read_schedule_csv,
     solve_social,
     stored_energy,
-    write_schedule_csv,
 )
 from .codes import CodesConfig, CodesResult, ConvergenceTrace, run_codes
 from .generate import GenSpec, gen_scenario
@@ -84,5 +83,4 @@ __all__ = [
     "solve_lp",
     "solve_social",
     "stored_energy",
-    "write_schedule_csv",
 ]

@@ -14,6 +14,7 @@ and each storage dispatch trajectory; demand and renewables are data.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,18 +214,19 @@ def schedule_field_names(scenario: Scenario) -> list[str]:
     return names
 
 
-def write_schedule_csv(path: str | Path, scenario: Scenario, schedule: PowerSchedule) -> None:
+def schedule_csv_text(scenario: Scenario, schedule: PowerSchedule) -> str:
     ids = [a.id for a in scenario.active_users]
     energies = {a.id: stored_energy(a.desd, schedule.desd_power_kw[a.id], schedule.dt_hours)
                 for a in scenario.active_users}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schedule_field_names(scenario))
-        for t in range(schedule.horizon):
-            row = [t, repr(float(schedule.grid_buy_kw[t])), repr(float(schedule.grid_sell_kw[t]))]
-            row += [repr(float(schedule.desd_power_kw[i][t])) for i in ids]
-            row += [repr(float(energies[i][t])) for i in ids]
-            writer.writerow(row)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(schedule_field_names(scenario))
+    for t in range(schedule.horizon):
+        row = [t, repr(float(schedule.grid_buy_kw[t])), repr(float(schedule.grid_sell_kw[t]))]
+        row += [repr(float(schedule.desd_power_kw[i][t])) for i in ids]
+        row += [repr(float(energies[i][t])) for i in ids]
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def read_schedule_csv(path: str | Path, dt_hours: float) -> PowerSchedule:

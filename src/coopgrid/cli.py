@@ -7,6 +7,7 @@ Exit codes are part of the interface:
   4  solver or consensus did not converge (artifacts are still written)
   5  bargaining failed: cooperation does not beat standing alone
   6  compare: cost gap above tolerance
+  7  internal solver fault (a bug, not a property of the scenario)
 
 All files go through a temp-and-rename so readers never see a half-written
 artifact.  CSV outputs are bit-identical across re-runs on the same input;
@@ -29,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import BargainingError, allocate_centralized, allocate_distributed
-from .centralized import (
-    InfeasibleScenarioError,
-    check_schedule,
-    schedule_field_names,
-    solve_social,
-    stored_energy,
-)
+from .centralized import InfeasibleScenarioError, schedule_csv_text, solve_social
 from .codes import CodesConfig, run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
 from .graph import GraphError
@@ -56,6 +51,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_BARGAINING = 5
 EXIT_GAP = 6
+EXIT_INTERNAL = 7
 
 TRACE_FIELDS = ("iter", "J_est", "max_imbalance_kw",
                 "consensus_disagreement", "primal_step_norm")
@@ -76,21 +72,6 @@ def write_atomic(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def schedule_csv_text(scenario: Scenario, schedule) -> str:
-    ids = [a.id for a in scenario.active_users]
-    energies = {i: stored_energy(scenario.agent(i).desd, schedule.desd_power_kw[i],
-                                 schedule.dt_hours) for i in ids}
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(schedule_field_names(scenario))
-    for t in range(schedule.horizon):
-        row = [t, repr(float(schedule.grid_buy_kw[t])), repr(float(schedule.grid_sell_kw[t]))]
-        row += [repr(float(schedule.desd_power_kw[i][t])) for i in ids]
-        row += [repr(float(energies[i][t])) for i in ids]
-        writer.writerow(row)
-    return out.getvalue()
 
 
 def trace_csv_text(trace) -> str:
@@ -357,7 +338,7 @@ def main(argv=None) -> int:
     except BargainingError as exc:
         return _fail(EXIT_BARGAINING, str(exc))
     except LpError as exc:
-        return _fail(EXIT_INFEASIBLE, f"LP solve failed: {exc}")
+        return _fail(EXIT_INTERNAL, f"internal solver fault: {exc}")
 
 
 if __name__ == "__main__":

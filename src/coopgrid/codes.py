@@ -1,34 +1,31 @@
 """Distributed day-ahead scheduling over the communication graph.
 
-Every bus runs the same loop against nothing but its own data and its
-neighbors' messages:
+Every bus runs the same round against nothing but its own data and its
+neighbors' estimates: a projected gradient step on its own decision
+variables, priced by its estimates of the shadow price and the system
+imbalance; a multiplier step for its own stored-energy box; and one
+consensus exchange that mixes the neighbors' estimates, feeds in the change
+of its own imbalance (dynamic average tracking), and walks the price
+estimate by an integral term until imbalance dies out.
 
-1. gradient step on its own decision variables, projected onto their boxes,
-   priced by its current estimates of the shadow price and the system
-   imbalance;
-2. multiplier step for its own stored-energy box;
-3. one consensus exchange that mixes the neighbors' estimates and feeds in
-   the change of its own local imbalance (dynamic average tracking), plus an
-   integral term that walks the price estimate until imbalance dies out.
-
-The imbalance estimates track the system imbalance divided by the number of
-buses; their sum over buses always equals the true total, so driving the
-estimates to zero is the same as balancing the system.
-
-Sign conventions: a bus's local imbalance is the power it asks from the rest
-of the system (demand minus own supply); the grid interface contributes the
-negative of its net injection.
+The buses are the rows of stacked arrays in `graph.node_ids` order, and the
+exchange is one Metropolis mix `X <- W @ X`.  With w_ii = 1 - sum_j w_ij this
+is each bus adding w_ij * (x_j - x_i) over its neighbors; w_ij is zero off
+the edges, so W's sparsity pattern is the graph.  The imbalance estimates
+always sum to the true system imbalance, so driving them to zero balances
+the system.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .centralized import PowerSchedule, net_exchange, schedule_cost
-from .scenario import ROLE_ACTIVE, ROLE_GRID, AgentSpec, Scenario
+from .scenario import ROLE_ACTIVE, ROLE_GRID, Scenario
 
 
 @dataclass
@@ -42,137 +39,108 @@ class CodesConfig:
     tol_balance_kw: float = 1e-3
     tol_step: float = 1e-6
 
+    def __post_init__(self):
+        if not (math.isfinite(self.max_iters) and self.max_iters == int(self.max_iters) >= 1):
+            raise ValueError(f"codes.max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)
+        for name in ("rho", "xi1_grid", "xi1_desd", "xi2", "xi3", "tol_balance_kw", "tol_step"):
+            value, tolerance = getattr(self, name), name.startswith("tol_")
+            if not (math.isfinite(value) and (value >= 0 if tolerance else value > 0)):
+                raise ValueError(f"codes.{name} must be finite and "
+                                 f"{'nonnegative' if tolerance else 'positive'}, got {value!r}")
+
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "CodesConfig":
         """Defaults overridden by the scenario's own solver settings, if any."""
-        cfg = cls()
-        for key, value in scenario.codes:
-            if not hasattr(cfg, key):
+        known = {f.name for f in fields(cls)}
+        for key, _ in scenario.codes:
+            if key not in known:
                 raise ValueError(f"unknown solver setting {key!r} in scenario")
-            setattr(cfg, key, int(value) if key == "max_iters" else float(value))
-        return cfg
+        return cls(**dict(scenario.codes))
 
 
-@dataclass
-class Message:
-    """Everything a bus is allowed to tell a neighbor."""
+class CodesState:
+    """Every bus's iterate, stacked one row per bus in `graph.node_ids` order.
 
-    lam_hat: np.ndarray
-    dp_hat: np.ndarray
-
-
-@dataclass
-class BusState:
-    agent: AgentSpec
-    lam_hat: np.ndarray                  # price estimate, one entry per step
-    dp_hat: np.ndarray                   # imbalance-per-bus estimate
-    dp_local: np.ndarray                 # own imbalance at the last update
-    p_buy: np.ndarray | None = None      # grid bus only
-    p_sell: np.ndarray | None = None
-    p_desd: np.ndarray | None = None     # active bus only
-    mu1: np.ndarray | None = None        # stored energy above emax
-    mu2: np.ndarray | None = None        # stored energy below emin
-
-    @property
-    def role(self) -> str:
-        return self.agent.role
-
-
-def local_imbalance(bus: BusState, t: int | None = None):
-    """The bus's own imbalance: what it asks from the rest of the system.
-
-    Passive buses ask for their demand, active buses for demand net of
-    renewables and dispatch, and the grid bus supplies its net injection.
-    Returns the full series when t is None.
+    Grid exchange is (T,) arrays; storage dispatch and its energy-box
+    multipliers are (n_active, T) arrays; estimates are (n_bus, T) arrays.
     """
-    if bus.role == ROLE_GRID:
-        series = -(bus.p_buy - bus.p_sell)
-    elif bus.role == ROLE_ACTIVE:
-        series = np.array(bus.agent.demand_kw) - np.array(bus.agent.renewable_kw) - bus.p_desd
-    else:
-        series = np.array(bus.agent.demand_kw)
-    return series if t is None else float(series[t])
 
+    def __init__(self, scenario: Scenario, config: CodesConfig):
+        agents = [scenario.agent(i) for i in scenario.graph.node_ids]
+        self.grid_row = next(k for k, a in enumerate(agents) if a.role == ROLE_GRID)
+        self.active_rows = np.flatnonzero([a.role == ROLE_ACTIVE for a in agents])
+        self.active_ids = [agents[k].id for k in self.active_rows]
+        desds = [agents[k].desd for k in self.active_rows]
+        boxes = np.array([(d.e0_kwh, d.emin_kwh, d.emax_kwh, -d.p_charge_max_kw,
+                           d.p_discharge_max_kw) for d in desds])
+        self.e0, self.emin, self.emax, self.p_lo, self.p_hi = boxes.reshape(-1, 5).T[:, :, None]
+        t, n_active = scenario.horizon, len(self.active_rows)
+        self.config = config
+        self.weights = scenario.graph.weights
+        self.dt = scenario.dt_hours
+        self.p_grid_max = scenario.p_grid_max_kw
+        self.buy_price = np.array(scenario.tariff.buy) * self.dt
+        self.sell_price = np.array(scenario.tariff.sell) * self.dt
+        # what each bus asks for before any dispatch; passive and grid buses
+        # carry no renewables, so demand minus renewables fits every role
+        self.base = np.array([np.array(a.demand_kw) - np.array(a.renewable_kw) for a in agents])
+        self.p_buy, self.p_sell = np.zeros(t), np.zeros(t)
+        self.p_desd = np.zeros((n_active, t))
+        self.mu1 = np.zeros((n_active, t))           # stored energy above emax
+        self.mu2 = np.zeros((n_active, t))           # stored energy below emin
+        self.lam_hat = np.zeros((len(agents), t))    # price estimates
+        # imbalance estimates start at each bus's own imbalance, which
+        # anchors their sum to the true total for the rest of the run
+        self.dp_local = self.local_imbalance()
+        self.dp_hat = self.dp_local.copy()
 
-def _energy_slacks(bus: BusState, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signed overshoot of the stored-energy box per step, in kWh.
+    def local_imbalance(self) -> np.ndarray:
+        """What each bus asks from the rest of the system: demand net of own
+        supply, and for the grid bus minus its net injection."""
+        out = self.base.copy()
+        out[self.grid_row] -= self.p_buy - self.p_sell
+        out[self.active_rows] -= self.p_desd
+        return out
 
-    Positive means violated; negative is headroom.  Keeping the sign lets the
-    multipliers relax again once the box stops binding, which kills the
-    boundary chatter a clamped version produces.
-    """
-    drained = np.cumsum(bus.p_desd) * dt
-    desd = bus.agent.desd
-    over_full = desd.e0_kwh - drained - desd.emax_kwh
-    over_empty = desd.emin_kwh - desd.e0_kwh + drained
-    return over_full, over_empty
+    def energy_slacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signed overshoot of each stored-energy box per step, in kWh.
 
+        Positive means violated.  Keeping the sign lets the multipliers relax
+        once the box stops binding, which kills boundary chatter."""
+        drained = np.cumsum(self.p_desd, axis=1) * self.dt
+        return self.e0 - drained - self.emax, self.emin - self.e0 + drained
 
-def primal_step(bus: BusState, scenario: Scenario, config: CodesConfig) -> float:
-    """Projected gradient step on the bus's own variables; returns the largest move."""
-    price = bus.lam_hat + config.rho * bus.dp_hat
-    dt = scenario.dt_hours
-    if bus.role == ROLE_GRID:
-        buy = np.array(scenario.tariff.buy) * dt
-        sell = np.array(scenario.tariff.sell) * dt
-        new_buy = np.clip(bus.p_buy - config.xi1_grid * (buy - price),
-                          0.0, scenario.p_grid_max_kw)
-        new_sell = np.clip(bus.p_sell - config.xi1_grid * (-sell + price),
-                           0.0, scenario.p_grid_max_kw)
-        moved = max(np.abs(new_buy - bus.p_buy).max(),
-                    np.abs(new_sell - bus.p_sell).max())
-        bus.p_buy, bus.p_sell = new_buy, new_sell
-        return float(moved)
-    if bus.role == ROLE_ACTIVE:
-        over_full, over_empty = _energy_slacks(bus, dt)
+    def advance(self) -> float:
+        """One synchronous round of every bus; returns the largest primal move."""
+        cfg = self.config
+        price = self.lam_hat + cfg.rho * self.dp_hat
+        grid_price = price[self.grid_row]
+        new_buy = np.clip(self.p_buy - cfg.xi1_grid * (self.buy_price - grid_price),
+                          0.0, self.p_grid_max)
+        new_sell = np.clip(self.p_sell - cfg.xi1_grid * (-self.sell_price + grid_price),
+                           0.0, self.p_grid_max)
+        over_full, over_empty = self.energy_slacks()
         # each step's dispatch shifts every later stored-energy level, so the
         # box pressure accumulates from the end of the horizon backwards
-        pressure = (-np.maximum(bus.mu1 + config.rho * over_full, 0.0)
-                    + np.maximum(bus.mu2 + config.rho * over_empty, 0.0))
-        tail = np.cumsum(pressure[::-1])[::-1]
-        grad = -price + dt * tail
-        desd = bus.agent.desd
-        new_p = np.clip(bus.p_desd - config.xi1_desd * grad,
-                        -desd.p_charge_max_kw, desd.p_discharge_max_kw)
-        moved = float(np.abs(new_p - bus.p_desd).max())
-        bus.p_desd = new_p
-        return moved
-    return 0.0
+        pressure = (-np.maximum(self.mu1 + cfg.rho * over_full, 0.0)
+                    + np.maximum(self.mu2 + cfg.rho * over_empty, 0.0))
+        tail = np.cumsum(pressure[:, ::-1], axis=1)[:, ::-1]
+        grad = -price[self.active_rows] + self.dt * tail
+        new_p = np.clip(self.p_desd - cfg.xi1_desd * grad, self.p_lo, self.p_hi)
+        moved = max(np.abs(new_buy - self.p_buy).max(), np.abs(new_sell - self.p_sell).max(),
+                    np.abs(new_p - self.p_desd).max(initial=0.0))
+        self.p_buy, self.p_sell, self.p_desd = new_buy, new_sell, new_p
 
+        over_full, over_empty = self.energy_slacks()
+        self.mu1 = np.maximum(self.mu1 + cfg.xi2 * over_full, 0.0)
+        self.mu2 = np.maximum(self.mu2 + cfg.xi2 * over_empty, 0.0)
 
-def dual_step(bus: BusState, scenario: Scenario, config: CodesConfig) -> None:
-    """Walk the energy-box multipliers along the fresh signed overshoot."""
-    if bus.role != ROLE_ACTIVE:
-        return
-    over_full, over_empty = _energy_slacks(bus, scenario.dt_hours)
-    bus.mu1 = np.maximum(bus.mu1 + config.xi2 * over_full, 0.0)
-    bus.mu2 = np.maximum(bus.mu2 + config.xi2 * over_empty, 0.0)
-
-
-def consensus_update(buses: list[BusState], scenario: Scenario, config: CodesConfig) -> None:
-    """One synchronous exchange of estimates between neighbors.
-
-    All messages are snapshotted first, so the result does not depend on the
-    order the buses are visited in.
-    """
-    graph = scenario.graph
-    messages = {bus.agent.id: Message(bus.lam_hat, bus.dp_hat) for bus in buses}
-    updates = []
-    for bus in buses:
-        own = messages[bus.agent.id]
-        i = graph.index_of(bus.agent.id)
-        lam = own.lam_hat.copy()
-        dp = own.dp_hat.copy()
-        for nid in graph.neighbors(bus.agent.id):
-            w = graph.weights[i, graph.index_of(nid)]
-            lam += w * (messages[nid].lam_hat - own.lam_hat)
-            dp += w * (messages[nid].dp_hat - own.dp_hat)
-        lam += config.xi3 * own.dp_hat
-        fresh = local_imbalance(bus)
-        dp += fresh - bus.dp_local
-        updates.append((lam, dp, fresh))
-    for bus, (lam, dp, fresh) in zip(buses, updates):
-        bus.lam_hat, bus.dp_hat, bus.dp_local = lam, dp, fresh
+        fresh = self.local_imbalance()
+        self.lam_hat = self.weights @ self.lam_hat + cfg.xi3 * self.dp_hat
+        self.dp_hat = self.weights @ self.dp_hat + fresh - self.dp_local
+        self.dp_local = fresh
+        return float(moved)
 
 
 @dataclass
@@ -201,31 +169,6 @@ class CodesResult:
     wall_time_s: float
 
 
-def make_buses(scenario: Scenario) -> list[BusState]:
-    """Initial bus states: zero primals, zero multipliers, honest estimates.
-
-    Imbalance estimates start at each bus's own imbalance, which anchors
-    their sum to the true total for the rest of the run.
-    """
-    t = scenario.horizon
-    buses = []
-    for node_id in scenario.graph.node_ids:
-        agent = scenario.agent(node_id)
-        bus = BusState(agent=agent, lam_hat=np.zeros(t),
-                       dp_hat=np.zeros(t), dp_local=np.zeros(t))
-        if agent.role == ROLE_GRID:
-            bus.p_buy = np.zeros(t)
-            bus.p_sell = np.zeros(t)
-        elif agent.role == ROLE_ACTIVE:
-            bus.p_desd = np.zeros(t)
-            bus.mu1 = np.zeros(t)
-            bus.mu2 = np.zeros(t)
-        bus.dp_local = local_imbalance(bus)
-        bus.dp_hat = bus.dp_local.copy()
-        buses.append(bus)
-    return buses
-
-
 def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesResult:
     """Iterate the distributed scheme until balance and primal rest, or give up.
 
@@ -235,46 +178,23 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     if config is None:
         config = CodesConfig.from_scenario(scenario)
     started = time.perf_counter()
-    buses = make_buses(scenario)
-    grid_bus = next(b for b in buses if b.role == ROLE_GRID)
-    buy_price = np.array(scenario.tariff.buy) * scenario.dt_hours
-    sell_price = np.array(scenario.tariff.sell) * scenario.dt_hours
+    state = CodesState(scenario, config)
     trace = ConvergenceTrace()
-    converged = False
-    iterations = 0
-    for k in range(config.max_iters):
-        step_norm = max(primal_step(bus, scenario, config) for bus in buses)
-        for bus in buses:
-            dual_step(bus, scenario, config)
-        consensus_update(buses, scenario, config)
-        iterations = k + 1
-
-        total = np.zeros(scenario.horizon)
-        for bus in buses:
-            total += bus.dp_local
-        max_imbalance = float(np.abs(total).max())
-        estimates = np.stack([bus.dp_hat for bus in buses])
-        disagreement = float((estimates.max(axis=0) - estimates.min(axis=0)).max())
-        j_est = float(buy_price @ grid_bus.p_buy - sell_price @ grid_bus.p_sell)
-        trace.j_est.append(j_est)
+    for _ in range(config.max_iters):
+        step_norm = state.advance()
+        max_imbalance = float(np.abs(state.dp_local.sum(axis=0)).max())
+        trace.j_est.append(float(state.buy_price @ state.p_buy - state.sell_price @ state.p_sell))
         trace.max_imbalance_kw.append(max_imbalance)
-        trace.consensus_disagreement.append(disagreement)
-        trace.primal_step_norm.append(float(step_norm))
-        if max_imbalance < config.tol_balance_kw and step_norm < config.tol_step:
-            converged = True
+        trace.consensus_disagreement.append(float(np.ptp(state.dp_hat, axis=0).max()))
+        trace.primal_step_norm.append(step_norm)
+        converged = max_imbalance < config.tol_balance_kw and step_norm < config.tol_step
+        if converged:
             break
 
-    buy, sell = net_exchange(grid_bus.p_buy, grid_bus.p_sell)
+    buy, sell = net_exchange(state.p_buy, state.p_sell)
     schedule = PowerSchedule(
-        grid_buy_kw=buy, grid_sell_kw=sell,
-        desd_power_kw={b.agent.id: b.p_desd.copy() for b in buses if b.role == ROLE_ACTIVE},
-        dt_hours=scenario.dt_hours,
-    )
-    return CodesResult(
-        schedule=schedule,
-        j=schedule_cost(schedule, scenario.tariff),
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        wall_time_s=time.perf_counter() - started,
-    )
+        grid_buy_kw=buy, grid_sell_kw=sell, dt_hours=scenario.dt_hours,
+        desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, state.p_desd)})
+    return CodesResult(schedule=schedule, j=schedule_cost(schedule, scenario.tariff),
+                       iterations=len(trace), converged=converged, trace=trace,
+                       wall_time_s=time.perf_counter() - started)

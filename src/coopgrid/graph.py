@@ -37,18 +37,6 @@ class CommGraph:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    def index_of(self, node_id: int) -> int:
-        return self.node_ids.index(node_id)
-
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == node_id:
-                out.append(b)
-            elif b == node_id:
-                out.append(a)
-        return tuple(sorted(out))
-
 
 @dataclass
 class ConsensusState:

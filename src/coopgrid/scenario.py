@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,15 +145,24 @@ def validate_scenario(sc: Scenario) -> None:
 # --- JSON layer ----------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:        # an integer too large for a float
+        return False
+
+
 def _float_list(obj, field: str) -> tuple[float, ...]:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        raise ScenarioFormatError(f"{field} must be a list of numbers")
+    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
+        raise ScenarioFormatError(f"{field} must be a list of finite numbers")
     return tuple(float(v) for v in obj)
 
 
 def _number(obj, field: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ScenarioFormatError(f"{field} must be a number")
+    if not _is_number(obj):
+        raise ScenarioFormatError(f"{field} must be a finite number")
     return float(obj)
 
 
@@ -251,10 +261,14 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
+
+
+def _reject_constant(name: str):
+    raise ScenarioFormatError(f"non-finite number {name} in scenario")
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -9,9 +9,9 @@ from coopgrid.centralized import (
     net_exchange,
     read_schedule_csv,
     schedule_cost,
+    schedule_csv_text,
     solve_social,
     stored_energy,
-    write_schedule_csv,
 )
 from coopgrid.graph import metropolis_weights
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
@@ -157,7 +157,7 @@ def test_schedule_csv_round_trip(tmp_path, fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     schedule, _ = solve_social(sc)
     path = tmp_path / "schedule.csv"
-    write_schedule_csv(path, sc, schedule)
+    path.write_text(schedule_csv_text(sc, schedule), newline="")
     again = read_schedule_csv(path, sc.dt_hours)
     assert np.array_equal(again.grid_buy_kw, schedule.grid_buy_kw)
     assert np.array_equal(again.grid_sell_kw, schedule.grid_sell_kw)

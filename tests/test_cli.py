@@ -8,6 +8,7 @@ import pytest
 
 import coopgrid.cli as cli
 from coopgrid.cli import main
+from coopgrid.lp import LpCycleError
 from coopgrid.scenario import dump_scenario, load_scenario, scenario_digest
 from coopgrid.generate import GenSpec, gen_scenario
 
@@ -36,6 +37,19 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["validate", "--scenario", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999",
+                                    pytest.param("1" + "0" * 400, id="huge-integer")])
+def test_non_finite_number_is_validation_error(fixtures_dir, tmp_path, capsys, number):
+    text = Path(arbitrage_path(fixtures_dir)).read_text()
+    assert '"buy": [0.1,' in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"buy": [0.1,', f'"buy": [{number},'))
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(bad), "--out-dir", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_scenario_leaves_no_artifacts(tmp_path):
@@ -167,6 +181,17 @@ def test_infeasible_scenario_exit_code(tmp_path):
     squeezed = dataclasses.replace(sc, p_grid_max_kw=0.01)
     path = write_scenario(tmp_path / "squeezed.json", squeezed)
     assert main(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 3
+
+
+def test_internal_solver_fault_exit_code(fixtures_dir, tmp_path, monkeypatch):
+    # a cycling simplex is a bug in the solver, not an infeasible scenario
+    def cycling(sc):
+        raise LpCycleError("pivot guard exceeded")
+
+    monkeypatch.setattr(cli, "solve_social", cycling)
+    code = main(["solve", "--scenario", arbitrage_path(fixtures_dir),
+                 "--out-dir", str(tmp_path)])
+    assert code == 7
 
 
 def test_weights_matrix_is_doubly_stochastic(fixtures_dir, tmp_path):

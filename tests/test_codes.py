@@ -3,18 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from codes_reference import Message, run_reference
 from coopgrid.centralized import check_schedule, solve_social
-from coopgrid.codes import (
-    CodesConfig,
-    consensus_update,
-    dual_step,
-    local_imbalance,
-    make_buses,
-    run_codes,
-    Message,
-)
+from coopgrid.codes import CodesConfig, CodesState, run_codes
+from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
+from coopgrid.scenario import AgentSpec, Scenario, Tariff, load_scenario
 
 
 def passive_scenario(demand, buy, sell, dt=1.0):
@@ -49,6 +43,18 @@ def test_unknown_solver_setting_rejected(fixtures_dir):
     bad = dataclasses.replace(sc, codes=(("step_size", 0.1),))
     with pytest.raises(ValueError, match="step_size"):
         CodesConfig.from_scenario(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iters", -5.0), ("max_iters", 0.0), ("max_iters", 40.7),
+    ("max_iters", float("inf")), ("max_iters", float("nan")),
+    ("rho", 0.0), ("xi1_grid", -1.0), ("xi1_desd", float("inf")), ("xi2", float("nan")),
+    ("xi3", float("nan")), ("tol_balance_kw", -1e-3), ("tol_step", float("nan")),
+])
+def test_out_of_range_solver_setting_rejected(fixtures_dir, key, value):
+    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
+    with pytest.raises(ValueError, match=key):
+        CodesConfig.from_scenario(dataclasses.replace(sc, codes=((key, value),)))
 
 
 def test_three_agent_cost_matches_oracle(fixtures_dir):
@@ -104,64 +110,91 @@ def test_emitted_exchange_is_netted():
     assert np.minimum(res.schedule.grid_buy_kw, res.schedule.grid_sell_kw).max() == 0.0
 
 
-def test_message_carries_only_estimates():
-    names = {f.name for f in dataclasses.fields(Message)}
-    assert names == {"lam_hat", "dp_hat"}
+def assert_matches_reference(sc, rounds):
+    cfg = dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=rounds, tol_step=0.0)
+    res = run_codes(sc, cfg)
+    buses, trace = run_reference(sc, cfg, rounds)
+    assert res.iterations == rounds
+    for name, expected in trace.items():
+        assert np.abs(np.array(getattr(res.trace, name)) - expected).max() <= 1e-9, name
+    for i, p in res.schedule.desd_power_kw.items():
+        assert np.abs(p - buses[i].p_desd).max() <= 1e-9
+
+
+def test_array_solver_matches_per_bus_reference(fixtures_dir):
+    # the reference's buses tell their neighbors nothing but two estimates
+    assert {f.name for f in dataclasses.fields(Message)} == {"lam_hat", "dp_hat"}
+    assert_matches_reference(load_scenario(fixtures_dir / "three_agent.json"), 2000)
+
+
+def test_array_solver_matches_per_bus_reference_on_41_buses():
+    spec = GenSpec(users=(40, 40), active=(20, 20), horizon=(24, 24), graph="ring")
+    assert_matches_reference(gen_scenario(spec, seed=1), 300)
 
 
 def test_consensus_update_is_local(fixtures_dir):
-    # on the ring 1-2-3-4, bus 1 hears 2 and 4 but never 3
+    # on the ring 1-2-3-4, bus 1 hears 2 and 4 but never 3: the mixing
+    # matrix is nonzero exactly on the graph's edges and diagonal
     sc = load_scenario(fixtures_dir / "three_agent.json")
     cfg = CodesConfig.from_scenario(sc)
+    row = {i: k for k, i in enumerate(sc.graph.node_ids)}
+    pattern = np.eye(len(row), dtype=bool)
+    for a, b in sc.graph.edges:
+        pattern[row[a], row[b]] = pattern[row[b], row[a]] = True
+    assert np.array_equal(sc.graph.weights != 0, pattern)
 
     def one_round(bump):
-        buses = make_buses(sc)
+        state = CodesState(sc, cfg)
         rng = np.random.default_rng(7)
-        for bus in buses:
-            bus.lam_hat = rng.normal(size=sc.horizon)
-            bus.dp_hat = rng.normal(size=sc.horizon)
-        far = next(b for b in buses if b.agent.id == 3)
-        far.lam_hat = far.lam_hat + bump
-        far.dp_hat = far.dp_hat + bump
-        consensus_update(buses, sc, cfg)
-        return next(b for b in buses if b.agent.id == 1)
+        state.lam_hat = rng.normal(size=state.lam_hat.shape)
+        state.dp_hat = rng.normal(size=state.dp_hat.shape)
+        state.lam_hat[row[3]] += bump
+        state.dp_hat[row[3]] += bump
+        state.advance()
+        return state
 
     quiet, loud = one_round(0.0), one_round(1e6)
-    assert np.array_equal(quiet.lam_hat, loud.lam_hat)
-    assert np.array_equal(quiet.dp_hat, loud.dp_hat)
+    assert np.array_equal(quiet.lam_hat[row[1]], loud.lam_hat[row[1]])
+    assert np.array_equal(quiet.dp_hat[row[1]], loud.dp_hat[row[1]])
+    battery = quiet.active_ids.index(1)
+    assert np.array_equal(quiet.p_desd[battery], loud.p_desd[battery])
+    for neighbor in (2, 4):
+        assert not np.array_equal(quiet.dp_hat[row[neighbor]], loud.dp_hat[row[neighbor]])
 
 
 def test_imbalance_estimates_conserve_the_total(fixtures_dir):
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    cfg = CodesConfig.from_scenario(sc)
-    buses = make_buses(sc)
-    total0 = sum(local_imbalance(b) for b in buses)
-    assert np.allclose(sum(b.dp_hat for b in buses), total0, atol=1e-12)
+    state = CodesState(sc, CodesConfig.from_scenario(sc))
+    base = sum(np.array(a.demand_kw) - np.array(a.renewable_kw) for a in sc.agents)
+
+    def total_imbalance():
+        return base - (state.p_buy - state.p_sell) - state.p_desd.sum(axis=0)
+
+    assert np.allclose(state.dp_hat.sum(axis=0), total_imbalance(), atol=1e-12)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        for bus in buses:
-            if bus.role == "active":
-                bus.p_desd = np.clip(bus.p_desd + rng.normal(0, 0.2, sc.horizon),
-                                     -bus.agent.desd.p_charge_max_kw,
-                                     bus.agent.desd.p_discharge_max_kw)
-        consensus_update(buses, sc, cfg)
-        total = sum(local_imbalance(b) for b in buses)
-        assert np.abs(sum(b.dp_hat for b in buses) - total).max() <= 1e-9
+        # moves made outside the round are tracked like the round's own
+        state.p_desd = np.clip(state.p_desd + rng.normal(0, 0.2, state.p_desd.shape),
+                               state.p_lo, state.p_hi)
+        state.advance()
+        assert np.abs(state.dp_hat.sum(axis=0) - total_imbalance()).max() <= 1e-9
 
 
 def test_slack_multipliers_rest_inside_the_energy_box(fixtures_dir):
+    # estimates start at zero here, so only the energy box prices dispatch
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     cfg = CodesConfig.from_scenario(sc)
-    buses = make_buses(sc)
-    bat = next(b for b in buses if b.role == "active")
-    bat.p_desd = np.array([-1.0, 1.0])        # stays inside [emin, emax]
-    dual_step(bat, sc, cfg)
-    assert np.array_equal(bat.mu1, np.zeros(2))
-    assert np.array_equal(bat.mu2, np.zeros(2))
-    bat.p_desd = np.array([4.0, 0.0])         # drains 4 kWh below emin
-    dual_step(bat, sc, cfg)
-    assert bat.mu2.max() > 0.0
-    assert bat.mu1.max() == 0.0
+    inside = CodesState(sc, cfg)
+    inside.p_desd = np.array([[-1.0, 1.0]])     # stays inside [emin, emax]
+    inside.advance()
+    assert np.array_equal(inside.p_desd, [[-1.0, 1.0]])
+    assert np.array_equal(inside.mu1, np.zeros((1, 2)))
+    assert np.array_equal(inside.mu2, np.zeros((1, 2)))
+    drained = CodesState(sc, cfg)
+    drained.p_desd = np.array([[4.0, 0.0]])     # drains 4 kWh below emin
+    drained.advance()
+    assert drained.mu2.max() > 0.0
+    assert drained.mu1.max() == 0.0
 
 
 def test_trace_rows_match_iterations(fixtures_dir):
