@@ -1,14 +1,19 @@
 """Centralized day-ahead optimum: one LP over every bus at once.
 
 This is the reference the distributed solver is measured against.  Decision
-variables are the grid exchange (buy and sell split into nonnegative parts)
-and each storage dispatch trajectory; demand and renewables are data.
+variables are the grid exchange (buy and sell split into nonnegative parts),
+each storage dispatch trajectory and its stored energy; demand and renewables
+are data.  With net(t) the summed demand minus renewables,
 
     min   sum_t (p_buy(t) * P_buy(t) - p_sell(t) * P_sell(t)) * dt
-    s.t.  P_buy(t) - P_sell(t) + sum_i P_desd_i(t) = total_demand(t) - total_renewable(t)
-          emin_i <= e0_i - dt * cumsum(P_desd_i)(t) <= emax_i
+    s.t.  P_buy(t) - P_sell(t) + sum_i P_desd_i(t) = net(t)
+          E_i(t) = E_i(t-1) - dt * P_desd_i(t),   E_i(-1) = e0_i
           0 <= P_buy(t), P_sell(t) <= P_grid_max
           -charge_max_i <= P_desd_i(t) <= discharge_max_i
+          emin_i <= E_i(t) <= emax_i
+
+A user's stand-alone problem (selfish.py) is the same day LP over that user
+alone.
 """
 
 from __future__ import annotations
@@ -44,62 +49,66 @@ class PowerSchedule:
         return self.grid_buy_kw.size
 
 
-def social_variable_slices(scenario: Scenario) -> dict:
-    """Column layout of the social LP: buy block, sell block, one per device."""
-    t = scenario.horizon
-    out = {"buy": slice(0, t), "sell": slice(t, 2 * t)}
-    for k, a in enumerate(scenario.active_users):
-        out[a.id] = slice((2 + k) * t, (3 + k) * t)
-    return out
+def net_load_kw(agents) -> np.ndarray:
+    """Summed demand minus renewables per step."""
+    return np.sum([np.subtract(a.demand_kw, a.renewable_kw) for a in agents], axis=0)
+
+
+def day_lp(tariff, p_grid_max_kw: float, dt_hours: float, net_kw: np.ndarray,
+           desds) -> LinearProgram:
+    """Day LP with columns [buy | sell | P_1..P_n | E_1..E_n], T columns each.
+
+    Rows are the power balance, then each device's energy link
+    E(t) - E(t-1) + dt * P(t) = 0 with e0 moved to the right of its first
+    step.  Every column is boxed; no row is an inequality.
+    """
+    t, n = len(net_kw), len(desds)
+    eye = np.eye(t)
+    f = np.concatenate([np.array(tariff.buy) * dt_hours, -np.array(tariff.sell) * dt_hours,
+                        np.zeros(2 * n * t)])
+    balance = np.hstack([eye, -eye, np.tile(eye, n), np.zeros((t, n * t))])
+    link = np.hstack([np.zeros((n * t, 2 * t)), np.kron(np.eye(n), dt_hours * eye),
+                      np.kron(np.eye(n), eye - np.eye(t, k=-1))])
+    e0 = np.zeros((n, t))
+    e0[:, 0] = [d.e0_kwh for d in desds]
+    box = np.array([(-d.p_charge_max_kw, d.p_discharge_max_kw, d.emin_kwh, d.emax_kwh)
+                    for d in desds]).reshape(-1, 4)
+    lower = np.concatenate([np.zeros(2 * t), np.repeat(box[:, 0], t), np.repeat(box[:, 2], t)])
+    upper = np.concatenate([np.full(2 * t, p_grid_max_kw), np.repeat(box[:, 1], t),
+                            np.repeat(box[:, 3], t)])
+    return LinearProgram(f, a_eq=np.vstack([balance, link]),
+                         b_eq=np.concatenate([net_kw, e0.ravel()]), lower=lower, upper=upper)
 
 
 def build_social_lp(scenario: Scenario) -> LinearProgram:
-    t = scenario.horizon
-    dt = scenario.dt_hours
-    active = scenario.active_users
-    n = (2 + len(active)) * t
-    sl = social_variable_slices(scenario)
+    return day_lp(scenario.tariff, scenario.p_grid_max_kw, scenario.dt_hours,
+                  net_load_kw(scenario.agents), [a.desd for a in scenario.active_users])
 
-    f = np.zeros(n)
-    f[sl["buy"]] = np.array(scenario.tariff.buy) * dt
-    f[sl["sell"]] = -np.array(scenario.tariff.sell) * dt
 
-    base_net = np.zeros(t)
-    for a in scenario.agents:
-        base_net += np.array(a.demand_kw) - np.array(a.renewable_kw)
-    a_eq = np.zeros((t, n))
-    a_eq[:, sl["buy"]] = np.eye(t)
-    a_eq[:, sl["sell"]] = -np.eye(t)
-    for a in active:
-        a_eq[:, sl[a.id]] += np.eye(t)
-    b_eq = base_net
+def solve_day_lp(lp: LinearProgram, horizon: int,
+                 diagnose) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Solve a `day_lp`; return netted buy and sell, the (n, T) dispatch and the cost.
 
-    # running stored energy must stay inside [emin, emax]:
-    #   dt * cumsum(P_desd)(k) <= e0 - emin   and   -dt * cumsum <= emax - e0
-    lower_tri = np.tril(np.ones((t, t))) * dt
-    a_ub = np.zeros((2 * t * len(active), n))
-    b_ub = np.zeros(2 * t * len(active))
-    for k, a in enumerate(active):
-        rows = slice(2 * t * k, 2 * t * k + t)
-        a_ub[rows, sl[a.id]] = lower_tri
-        b_ub[rows] = a.desd.e0_kwh - a.desd.emin_kwh
-        rows = slice(2 * t * k + t, 2 * t * (k + 1))
-        a_ub[rows, sl[a.id]] = -lower_tri
-        b_ub[rows] = a.desd.emax_kwh - a.desd.e0_kwh
-
-    lower = np.zeros(n)
-    upper = np.full(n, scenario.p_grid_max_kw)
-    for a in active:
-        lower[sl[a.id]] = -a.desd.p_charge_max_kw
-        upper[sl[a.id]] = a.desd.p_discharge_max_kw
-    return LinearProgram(f, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                         lower=lower, upper=upper)
+    An infeasible day raises InfeasibleScenarioError with the message
+    `diagnose()` gives.
+    """
+    sol = solve_lp(lp)
+    if sol.status == "infeasible":
+        raise InfeasibleScenarioError(diagnose())
+    if sol.status != "optimal":
+        raise LpError(f"day LP cannot be {sol.status}: all variables are boxed")
+    rows = sol.x.reshape(-1, horizon)   # buy, sell, n dispatch rows, n energy rows
+    buy, sell = net_exchange(rows[0], rows[1])
+    cost = float(sol.objective_value)
+    recomputed = lp.f[:horizon] @ buy + lp.f[horizon:2 * horizon] @ sell
+    if abs(recomputed - cost) > 1e-9 * (1.0 + abs(cost)):
+        raise LpError(f"netting changed the cost: {recomputed} vs {cost}; "
+                      "optimal plans never buy and sell in the same step")
+    return buy, sell, rows[2:1 + len(rows) // 2].copy(), cost
 
 
 def _diagnose_infeasibility(scenario: Scenario) -> str:
-    base_net = np.zeros(scenario.horizon)
-    for a in scenario.agents:
-        base_net += np.array(a.demand_kw) - np.array(a.renewable_kw)
+    base_net = net_load_kw(scenario.agents)
     discharge = sum(a.desd.p_discharge_max_kw for a in scenario.active_users)
     charge = sum(a.desd.p_charge_max_kw for a in scenario.active_users)
     for t in range(scenario.horizon):
@@ -132,26 +141,14 @@ def stored_energy(desd, p_desd_kw: np.ndarray, dt_hours: float) -> np.ndarray:
 
 def solve_social(scenario: Scenario) -> tuple[PowerSchedule, float]:
     """Exact social optimum.  Raises InfeasibleScenarioError with a diagnosis."""
-    lp = build_social_lp(scenario)
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        raise InfeasibleScenarioError(_diagnose_infeasibility(scenario))
-    if sol.status != "optimal":
-        raise LpError(f"social LP cannot be {sol.status}: all variables are boxed")
-    sl = social_variable_slices(scenario)
-    t = scenario.horizon
-    buy, sell = net_exchange(sol.x[sl["buy"]], sol.x[sl["sell"]])
+    buy, sell, dispatch, j = solve_day_lp(build_social_lp(scenario), scenario.horizon,
+                                          lambda: _diagnose_infeasibility(scenario))
     schedule = PowerSchedule(
         grid_buy_kw=buy,
         grid_sell_kw=sell,
-        desd_power_kw={a.id: sol.x[sl[a.id]].copy() for a in scenario.active_users},
+        desd_power_kw={a.id: p for a, p in zip(scenario.active_users, dispatch)},
         dt_hours=scenario.dt_hours,
     )
-    j = float(sol.objective_value)
-    recomputed = schedule_cost(schedule, scenario.tariff)
-    if abs(recomputed - j) > 1e-9 * (1.0 + abs(j)):
-        raise LpError(f"netting changed the cost: {recomputed} vs {j}; "
-                      "optimal plans never buy and sell in the same step")
     return schedule, j
 
 
@@ -176,10 +173,7 @@ def check_schedule(scenario: Scenario, schedule: PowerSchedule,
         faults.append(f"device set {sorted(schedule.desd_power_kw)} does not match "
                       f"active agents {sorted(expected_ids)}")
         return faults
-    base_net = np.zeros(t)
-    for a in scenario.agents:
-        base_net += np.array(a.demand_kw) - np.array(a.renewable_kw)
-    residual = schedule.grid_buy_kw - schedule.grid_sell_kw - base_net
+    residual = schedule.grid_buy_kw - schedule.grid_sell_kw - net_load_kw(scenario.agents)
     for a in scenario.active_users:
         p = np.asarray(schedule.desd_power_kw[a.id])
         if p.size != t:

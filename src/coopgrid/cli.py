@@ -148,8 +148,15 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
+def _check_tolerance(flag: str, value: float, zero_ok: bool = False) -> None:
+    if not (np.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        raise ValueError(f"{flag} must be a finite number {'>=' if zero_ok else '>'} 0, "
+                         f"got {value!r}")
+
+
 def cmd_allocate(args) -> int:
     started = time.perf_counter()
+    _check_tolerance("--graph-tol", args.graph_tol)
     sc = _load(args.scenario)
     out_dir = Path(args.out_dir)
     selfish = disagreement_point(sc)
@@ -197,6 +204,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_compare(args) -> int:
     started = time.perf_counter()
+    _check_tolerance("--tol", args.tol, zero_ok=True)   # 0 demands an exact match
     sc = _load(args.scenario)
     out_dir = Path(args.out_dir)
     oracle_schedule, j_oracle = solve_social(sc)
@@ -253,6 +261,7 @@ def cmd_weights(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load(args.scenario)
+    CodesConfig.from_scenario(sc)   # the same solver settings check as solve --codes
     print(f"OK {scenario_digest(sc)}")
     return EXIT_OK
 

@@ -7,13 +7,14 @@ Problems are stated as
          a_eq @ x == b_eq
          lower <= x <= upper
 
-All matrices are dense numpy arrays; sizes here are small (a few hundred
-variables), so tableau simplex is fast enough and has no dependencies.
+All matrices are dense numpy arrays and the solver is a dense tableau simplex
+with no dependencies.  Variable bounds never become rows: the ratio test
+keeps every column inside its box (Dantzig's upper-bounding technique).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,14 +126,16 @@ def check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> l
 #   finite lower       -> shift   x = l + y           (one column, sign +1)
 #   only finite upper  -> flip    x = u - y           (one column, sign -1)
 #   free               -> split   x = y+ - y-         (two columns)
-# Two-sided boxes additionally get an explicit row  y <= u - l.
+# A two-sided box keeps its width as the column's upper bound y <= u - l,
+# which the ratio test enforces; it never becomes a row.
 
 
 @dataclass
 class _StandardForm:
-    a: np.ndarray             # rows of the standard system A y = b, y >= 0
+    a: np.ndarray             # rows of the standard system A y = b, 0 <= y <= upper
     b: np.ndarray
     cost: np.ndarray          # objective over the y columns
+    upper: np.ndarray         # per y column; +inf when unbounded above
     col_var: list[int]        # originating variable of each y column
     col_sign: list[float]
     offsets: np.ndarray       # per original variable
@@ -144,27 +147,26 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     n = lp.n_vars
     col_var: list[int] = []
     col_sign: list[float] = []
+    col_upper: list[float] = []
     offsets = np.zeros(n)
-    widths: list[tuple[int, float]] = []   # (column index, finite box width)
     for j in range(n):
         lo, hi = lp.lower[j], lp.upper[j]
         if lo > hi + FEAS_TOL:
             return None
         if np.isfinite(lo):
             offsets[j] = lo
-            if np.isfinite(hi):
-                widths.append((len(col_var), max(hi - lo, 0.0)))
             col_var.append(j)
             col_sign.append(1.0)
+            col_upper.append(max(hi - lo, 0.0))
         elif np.isfinite(hi):
             offsets[j] = hi
             col_var.append(j)
             col_sign.append(-1.0)
+            col_upper.append(np.inf)
         else:
-            col_var.append(j)
-            col_sign.append(1.0)
-            col_var.append(j)
-            col_sign.append(-1.0)
+            col_var += [j, j]
+            col_sign += [1.0, -1.0]
+            col_upper += [np.inf, np.inf]
     n_cols = len(col_var)
 
     sign = np.array(col_sign)
@@ -173,21 +175,14 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     def project(mat: np.ndarray) -> np.ndarray:
         return mat[:, var] * sign
 
-    m_eq, m_ub, m_bd = lp.a_eq.shape[0], lp.a_ub.shape[0], len(widths)
-    m = m_eq + m_ub + m_bd
-    n_slack = m_ub + m_bd
-    a = np.zeros((m, n_cols + n_slack))
-    b = np.zeros(m)
+    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
+    a = np.zeros((m_eq + m_ub, n_cols + m_ub))
+    b = np.zeros(m_eq + m_ub)
     a[:m_eq, :n_cols] = project(lp.a_eq)
     b[:m_eq] = lp.b_eq - lp.a_eq @ offsets
-    a[m_eq:m_eq + m_ub, :n_cols] = project(lp.a_ub)
-    b[m_eq:m_eq + m_ub] = lp.b_ub - lp.a_ub @ offsets
-    a[m_eq:m_eq + m_ub, n_cols:n_cols + m_ub] = np.eye(m_ub)
-    for k, (c, w) in enumerate(widths):
-        r = m_eq + m_ub + k
-        a[r, c] = 1.0
-        a[r, n_cols + m_ub + k] = 1.0
-        b[r] = w
+    a[m_eq:, :n_cols] = project(lp.a_ub)
+    b[m_eq:] = lp.b_ub - lp.a_ub @ offsets
+    a[m_eq:, n_cols:] = np.eye(m_ub)
 
     # row equilibration keeps pivot/feasibility tolerances meaningful
     row_scale = np.maximum(1.0, np.abs(a).max(axis=1, initial=0.0))
@@ -199,12 +194,18 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    cost = np.zeros(n_cols + n_slack)
+    cost = np.zeros(n_cols + m_ub)
     cost[:n_cols] = lp.f[var] * sign
-    return _StandardForm(a, b, cost, col_var, col_sign, offsets, n_slack)
+    upper = np.concatenate([col_upper, np.full(m_ub, np.inf)])
+    return _StandardForm(a, b, cost, upper, col_var, col_sign, offsets, m_ub)
 
 
 # --- tableau simplex ----------------------------------------------------------
+#
+# Bounded columns follow Dantzig's upper-bounding technique: every nonbasic
+# column sits at zero, and a column that reaches its upper bound u is
+# complemented, y' = u - y, so it sits at zero again.  `flipped` records which
+# columns are currently complemented.
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -214,13 +215,23 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab -= np.outer(piv, tab[row])
     basis[row] = col
 
-def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, n_real: int,
-                     start_pivots: int = 0) -> tuple[str, int]:
+
+def _complement(tab: np.ndarray, flipped: np.ndarray, col: int, upper: float) -> None:
+    """Substitute y = upper - y' for a nonbasic column (cost row included)."""
+    tab[:, -1] -= tab[:, col] * upper
+    tab[:, col] *= -1.0
+    flipped[col] = not flipped[col]
+
+
+def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, n_real: int, upper: np.ndarray,
+                     flipped: np.ndarray, start_pivots: int = 0) -> tuple[str, int]:
     """Run pivots until optimal or unbounded.  Last tableau row is the cost row.
 
     Dantzig's rule is used at first for speed; after a pivot budget it switches
     permanently to Bland's rule, which cannot cycle.  Columns >= n_real (the
-    artificials in phase 1) are never allowed to re-enter.
+    artificials in phase 1) are never allowed to re-enter.  The ratio test
+    stops the step where a basic column reaches zero or its upper bound, or
+    the entering column reaches its own; a bound flip counts as a pivot.
     """
     m = tab.shape[0] - 1
     dantzig_limit = 3 * tab.shape[1] + 100
@@ -238,15 +249,23 @@ def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, n_real: int,
                 return "optimal", pivots
             col = int(neg[0])   # Bland: smallest eligible index
         column = tab[:m, col]
-        pos = column > PIVOT_TOL
-        if not pos.any():
-            return "unbounded", pivots
         ratios = np.full(m, np.inf)
-        ratios[pos] = tab[:m, -1][pos] / column[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        row = int(ties[np.argmin(basis[ties])])   # smallest basis index on ties
-        _pivot(tab, basis, row, col)
+        down = column > PIVOT_TOL     # basic column falls to zero
+        ratios[down] = tab[:m, -1][down] / column[down]
+        up = column < -PIVOT_TOL      # basic column rises to its upper bound
+        ratios[up] = (upper[basis[up]] - tab[:m, -1][up]) / -column[up]
+        best = ratios.min(initial=np.inf)
+        if upper[col] <= best:
+            if np.isinf(upper[col]):
+                return "unbounded", pivots
+            _complement(tab, flipped, col, upper[col])
+        else:
+            ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+            row = int(ties[np.argmin(basis[ties])])   # smallest basis index on ties
+            leaving, at_upper = int(basis[row]), column[row] < 0.0
+            _pivot(tab, basis, row, col)
+            if at_upper:
+                _complement(tab, flipped, leaving, upper[leaving])
         pivots += 1
         if pivots > max_pivots:
             raise LpCycleError(f"pivot guard exceeded after {pivots} pivots")
@@ -268,26 +287,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # slacks with +1 coefficient and b >= 0 can seed the basis; other rows
     # get an artificial variable
     basis = np.full(m, -1)
-    for k in range(sf.n_slack):
-        r_candidates = np.flatnonzero(a[:, n_cols + k] == 1.0)
-        for r in r_candidates:
-            if basis[r] == -1:
-                basis[r] = n_cols + k
+    slack_rows, slacks = np.arange(m - sf.n_slack, m), np.arange(n_cols, n_real)
+    seed = a[slack_rows, slacks] == 1.0
+    basis[slack_rows[seed]] = slacks[seed]
     need_art = np.flatnonzero(basis == -1)
     n_art = need_art.size
     tab = np.zeros((m + 1, n_real + n_art + 1))
     tab[:m, :n_real] = a
     tab[:m, -1] = b
-    for k, r in enumerate(need_art):
-        tab[r, n_real + k] = 1.0
-        basis[r] = n_real + k
+    tab[need_art, n_real + np.arange(n_art)] = 1.0
+    basis[need_art] = n_real + np.arange(n_art)
+    upper = np.concatenate([sf.upper, np.full(n_art, np.inf)])
+    flipped = np.zeros(n_real + n_art, dtype=bool)
 
     # phase 1: minimise the artificial sum
     if n_art:
         tab[-1, n_real:n_real + n_art] = 1.0
-        for r in need_art:
-            tab[-1] -= tab[r]
-        status, pivots = _simplex_iterate(tab, basis, n_real + n_art)
+        tab[-1] -= tab[need_art].sum(axis=0)
+        status, pivots = _simplex_iterate(tab, basis, n_real + n_art, upper, flipped)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
         if -tab[-1, -1] > FEAS_TOL:
@@ -309,22 +326,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     else:
         pivots = 0
 
-    # phase 2: real objective over the original columns
+    # phase 2: real objective over the original columns, with complemented
+    # columns entering at their upper bound
+    flipped = flipped[:n_real]
+    cost = np.where(flipped, -sf.cost, sf.cost)
     tab = np.hstack([tab[:, :n_real], tab[:, -1:]])
-    tab[-1, :] = 0.0
-    tab[-1, :n_real] = sf.cost
-    for r in range(m):
-        if sf.cost[basis[r]] != 0.0:
-            tab[-1] -= sf.cost[basis[r]] * tab[r]
-    status, pivots = _simplex_iterate(tab, basis, n_real, start_pivots=pivots)
+    tab[-1, :n_real] = cost
+    tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
+    tab[-1] -= cost[basis] @ tab[:m]
+    status, pivots = _simplex_iterate(tab, basis, n_real, sf.upper, flipped,
+                                      start_pivots=pivots)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=pivots)
 
     y = np.zeros(n_real)
     y[basis] = tab[:m, -1]
+    y[flipped] = sf.upper[flipped] - y[flipped]
     x = sf.offsets.copy()
-    for c in range(n_cols):
-        x[sf.col_var[c]] += sf.col_sign[c] * y[c]
+    np.add.at(x, sf.col_var, np.multiply(sf.col_sign, y[:n_cols]))
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))

@@ -1,9 +1,10 @@
 """Stand-alone operation: what each user pays when nobody cooperates.
 
 Each user solves its own day-ahead problem against the tariff, using only its
-own demand, renewables and storage.  The resulting costs form the
-disagreement point of the bargaining step: no rational user accepts an
-allocated share above its stand-alone cost.
+own demand, renewables and storage: the social day LP of centralized.py over
+that user alone.  The resulting costs form the disagreement point of the
+bargaining step: no rational user accepts an allocated share above its
+stand-alone cost.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import InfeasibleScenarioError, net_exchange
-from .lp import LinearProgram, LpError, solve_lp
+from .centralized import day_lp, net_load_kw, solve_day_lp
 from .scenario import AgentSpec, Scenario, Tariff
 
 
@@ -26,52 +26,16 @@ class SelfishSolution:
     cost: float
 
 
-def build_selfish_lp(agent: AgentSpec, tariff: Tariff, p_grid_max_kw: float,
-                     dt_hours: float) -> LinearProgram:
-    """Single-user LP with columns [buy(0..T-1) | sell(0..T-1) | dispatch(0..T-1)].
-
-    Passive users keep the dispatch block with a degenerate [0, 0] box so the
-    layout never changes shape.
-    """
-    t = len(agent.demand_kw)
-    f = np.concatenate([np.array(tariff.buy) * dt_hours,
-                        -np.array(tariff.sell) * dt_hours,
-                        np.zeros(t)])
-    eye = np.eye(t)
-    a_eq = np.hstack([eye, -eye, eye])
-    b_eq = np.array(agent.demand_kw) - np.array(agent.renewable_kw)
-    lower = np.zeros(3 * t)
-    upper = np.full(3 * t, p_grid_max_kw)
-    a_ub = b_ub = None
-    if agent.desd is not None:
-        lower[2 * t:] = -agent.desd.p_charge_max_kw
-        upper[2 * t:] = agent.desd.p_discharge_max_kw
-        tri = np.tril(np.ones((t, t))) * dt_hours
-        a_ub = np.hstack([np.zeros((2 * t, 2 * t)), np.vstack([tri, -tri])])
-        b_ub = np.concatenate([
-            np.full(t, agent.desd.e0_kwh - agent.desd.emin_kwh),
-            np.full(t, agent.desd.emax_kwh - agent.desd.e0_kwh),
-        ])
-    else:
-        upper[2 * t:] = 0.0
-    return LinearProgram(f, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                         lower=lower, upper=upper)
-
-
 def solve_selfish(agent: AgentSpec, tariff: Tariff, p_grid_max_kw: float,
                   dt_hours: float) -> SelfishSolution:
-    sol = solve_lp(build_selfish_lp(agent, tariff, p_grid_max_kw, dt_hours))
-    if sol.status == "infeasible":
-        raise InfeasibleScenarioError(
-            f"agent {agent.id} cannot cover its own demand within the grid limit "
-            f"{p_grid_max_kw} kW")
-    if sol.status != "optimal":
-        raise LpError(f"stand-alone LP cannot be {sol.status}: all variables are boxed")
     t = len(agent.demand_kw)
-    buy, sell = net_exchange(sol.x[:t], sol.x[t:2 * t])
+    desds = [] if agent.desd is None else [agent.desd]
+    lp = day_lp(tariff, p_grid_max_kw, dt_hours, net_load_kw([agent]), desds)
+    buy, sell, dispatch, cost = solve_day_lp(
+        lp, t, lambda: f"agent {agent.id} cannot cover its own demand within the grid "
+                       f"limit {p_grid_max_kw} kW")
     return SelfishSolution(agent_id=agent.id, grid_buy_kw=buy, grid_sell_kw=sell,
-                           desd_power_kw=sol.x[2 * t:].copy(),
-                           cost=float(sol.objective_value))
+                           desd_power_kw=dispatch[0] if desds else np.zeros(t), cost=cost)
 
 
 def selfish_solutions(scenario: Scenario) -> dict[int, SelfishSolution]:

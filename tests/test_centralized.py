@@ -13,9 +13,12 @@ from coopgrid.centralized import (
     solve_social,
     stored_energy,
 )
+from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
+from coopgrid.lp import _to_standard_form, solve_lp
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
 
+from lp_families import random_boxed_lp
 from tiny_scenarios import tiny_scenario
 
 
@@ -78,6 +81,27 @@ def test_oracle_schedules_validate_cleanly():
         schedule, j = solve_social(sc)
         assert check_schedule(sc, schedule) == []
         assert abs(schedule_cost(schedule, sc.tariff) - j) <= 1e-9 * (1 + abs(j))
+
+
+def test_social_lp_is_state_variable_form():
+    # boxes stay out of the rows: the standard form has one row per LP row,
+    # and the 10-user 48-step ring day needs no inequality row at all
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lp = random_boxed_lp(rng)
+        assert _to_standard_form(lp).a.shape[0] == lp.a_eq.shape[0] + lp.a_ub.shape[0]
+    sc = gen_scenario(GenSpec(users=(10, 10), active=(5, 5), horizon=(48, 48),
+                              graph="ring"), seed=1)
+    lp = build_social_lp(sc)
+    assert lp.a_ub.shape[0] == 0
+    assert _to_standard_form(lp).a.shape == (288, 576)
+    # columns: buy | sell | P_i | E_i, one block of T per device in id order
+    t, n = sc.horizon, len(sc.active_users)
+    rows = solve_lp(lp).x.reshape(-1, t)
+    assert rows.shape == (2 + 2 * n, t)
+    for k, a in enumerate(sc.active_users):
+        expected = stored_energy(a.desd, rows[2 + k], sc.dt_hours)
+        assert np.allclose(rows[2 + n + k], expected, rtol=0.0, atol=1e-9)
 
 
 def test_net_exchange():

@@ -52,6 +52,39 @@ def test_non_finite_number_is_validation_error(fixtures_dir, tmp_path, capsys, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("codes", [(("max_iters", -5.0),), (("bogus", 1.0),)],
+                         ids=["out-of-range", "unknown-key"])
+def test_validate_checks_solver_settings(fixtures_dir, tmp_path, capsys, codes):
+    # validate accepts exactly what solve --codes accepts
+    sc = load_scenario(arbitrage_path(fixtures_dir))
+    path = write_scenario(tmp_path / "bad_codes.json", dataclasses.replace(sc, codes=codes))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert codes[0][0] in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["solve", "--codes", "--scenario", str(path), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_allocate_rejects_meaningless_graph_tol(fixtures_dir, tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["allocate", "--distributed", "--graph-tol", tol,
+                 "--scenario", str(fixtures_dir / "three_agent.json"), "--out-dir", str(out)])
+    assert code == 2
+    assert "--graph-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_compare_rejects_meaningless_tol(fixtures_dir, tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["compare", "--tol", tol, "--scenario", arbitrage_path(fixtures_dir),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scenario_leaves_no_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main(["solve", "--scenario", str(tmp_path / "nope.json"),
