@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distributed", action="store_true",
                    help="compute the split by consensus on the scenario graph")
     p.add_argument("--graph-tol", type=float, default=1e-6,
-                   help="consensus tolerance for --distributed")
+                   help="--distributed puts each user's share within this of the equal "
+                        "split, so two users' savings can differ by up to twice it")
     p.add_argument("--social-method", choices=("centralized", "codes"),
                    default="centralized", help="where the social cost J comes from")
     p.set_defaults(func=cmd_allocate)

@@ -7,9 +7,11 @@ Problems are stated as
          a_eq @ x == b_eq
          lower <= x <= upper
 
-All matrices are dense numpy arrays and the solver is a dense tableau simplex
-with no dependencies.  Variable bounds never become rows: the ratio test
-keeps every column inside its box (Dantzig's upper-bounding technique).
+All matrices are dense numpy arrays and the solver is a tableau simplex with
+no dependencies.  A pivot updates only the rows with a nonzero pivot-column
+entry, and phase 1 keeps no artificial columns.  Variable bounds never become
+rows: the ratio test keeps every column inside its box (Dantzig's
+upper-bounding technique).
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     piv = tab[:, col].copy()
     piv[row] = 0.0
-    tab -= np.outer(piv, tab[row])
+    rows = np.flatnonzero(piv)   # a zero entry leaves its row unchanged
+    tab[rows] -= np.outer(piv[rows], tab[row])
     basis[row] = col
 
 
@@ -223,22 +226,23 @@ def _complement(tab: np.ndarray, flipped: np.ndarray, col: int, upper: float) ->
     flipped[col] = not flipped[col]
 
 
-def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, n_real: int, upper: np.ndarray,
-                     flipped: np.ndarray, start_pivots: int = 0) -> tuple[str, int]:
+def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray, flipped: np.ndarray,
+                     start_pivots: int = 0, n_art: int = 0) -> tuple[str, int]:
     """Run pivots until optimal or unbounded.  Last tableau row is the cost row.
 
     Dantzig's rule is used at first for speed; after a pivot budget it switches
-    permanently to Bland's rule, which cannot cycle.  Columns >= n_real (the
-    artificials in phase 1) are never allowed to re-enter.  The ratio test
-    stops the step where a basic column reaches zero or its upper bound, or
-    the entering column reaches its own; a bound flip counts as a pivot.
+    permanently to Bland's rule, which cannot cycle.  Both budgets count the
+    `n_art` phase-1 artificials, which have no column and so cannot re-enter.
+    The ratio test stops the step where a basic column reaches zero or its
+    upper bound, or the entering column reaches its own; a bound flip counts
+    as a pivot.
     """
     m = tab.shape[0] - 1
-    dantzig_limit = 3 * tab.shape[1] + 100
-    max_pivots = 100 * (m + tab.shape[1]) + 100_000
+    dantzig_limit = 3 * (tab.shape[1] + n_art) + 100
+    max_pivots = 100 * (m + tab.shape[1] + n_art) + 100_000
     pivots = start_pivots
     while True:
-        cost = tab[-1, :n_real]
+        cost = tab[-1, :-1]
         if pivots < dantzig_limit:
             col = int(np.argmin(cost))
             if cost[col] >= -PIVOT_TOL:
@@ -285,26 +289,25 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     n_cols = n_real - sf.n_slack
 
     # slacks with +1 coefficient and b >= 0 can seed the basis; other rows
-    # get an artificial variable
+    # get an artificial variable, which has a basis index but no column
     basis = np.full(m, -1)
     slack_rows, slacks = np.arange(m - sf.n_slack, m), np.arange(n_cols, n_real)
     seed = a[slack_rows, slacks] == 1.0
     basis[slack_rows[seed]] = slacks[seed]
     need_art = np.flatnonzero(basis == -1)
     n_art = need_art.size
-    tab = np.zeros((m + 1, n_real + n_art + 1))
+    tab = np.zeros((m + 1, n_real + 1))
     tab[:m, :n_real] = a
     tab[:m, -1] = b
-    tab[need_art, n_real + np.arange(n_art)] = 1.0
     basis[need_art] = n_real + np.arange(n_art)
     upper = np.concatenate([sf.upper, np.full(n_art, np.inf)])
-    flipped = np.zeros(n_real + n_art, dtype=bool)
+    flipped = np.zeros(n_real, dtype=bool)
 
     # phase 1: minimise the artificial sum
+    pivots = 0
     if n_art:
-        tab[-1, n_real:n_real + n_art] = 1.0
         tab[-1] -= tab[need_art].sum(axis=0)
-        status, pivots = _simplex_iterate(tab, basis, n_real + n_art, upper, flipped)
+        status, pivots = _simplex_iterate(tab, basis, upper, flipped, n_art=n_art)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
         if -tab[-1, -1] > FEAS_TOL:
@@ -313,7 +316,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         drop_rows = []
         for r in range(m):
             if basis[r] >= n_real:
-                candidates = np.flatnonzero(np.abs(tab[r, :n_real]) > PIVOT_TOL)
+                candidates = np.flatnonzero(np.abs(tab[r, :-1]) > PIVOT_TOL)
                 if candidates.size:
                     _pivot(tab, basis, r, int(candidates[0]))
                 else:
@@ -323,19 +326,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             tab = tab[keep + [m]]
             basis = basis[keep]
             m = len(keep)
-    else:
-        pivots = 0
 
     # phase 2: real objective over the original columns, with complemented
     # columns entering at their upper bound
-    flipped = flipped[:n_real]
     cost = np.where(flipped, -sf.cost, sf.cost)
-    tab = np.hstack([tab[:, :n_real], tab[:, -1:]])
     tab[-1, :n_real] = cost
     tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
     tab[-1] -= cost[basis] @ tab[:m]
-    status, pivots = _simplex_iterate(tab, basis, n_real, sf.upper, flipped,
-                                      start_pivots=pivots)
+    status, pivots = _simplex_iterate(tab, basis, sf.upper, flipped, start_pivots=pivots)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=pivots)
 

@@ -49,7 +49,7 @@ def close(value, ref, rel=1e-7):
     return abs(value - ref) <= rel * abs(ref)
 
 
-@pytest.mark.parametrize("users,horizon", [(10, 24), (20, 24), (10, 48)])
+@pytest.mark.parametrize("users,horizon", [(10, 24), (20, 24), (10, 48), (10, 96)])
 def test_ladder_day_matches_highs(users, horizon):
     sc = gen_scenario(GenSpec(users=(users, users), active=(users // 2, users // 2),
                               horizon=(horizon, horizon), graph="ring"), seed=1)

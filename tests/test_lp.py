@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coopgrid.bruteforce import enumerate_lp_vertices
-from coopgrid.lp import LinearProgram, check_feasible, solve_lp
+from coopgrid.lp import LinearProgram, _pivot, check_feasible, solve_lp
 
 from lp_families import infeasible_lp, random_boxed_lp, unbounded_lp
 
@@ -160,6 +160,38 @@ def test_variable_permutation_invariance():
         if sol.status == "optimal":
             assert abs(sol.objective_value - sol2.objective_value) <= 1e-7 * (
                 1.0 + abs(sol.objective_value))
+
+
+def test_pivot_updates_only_rows_with_a_nonzero_entry():
+    # the row-sparse pivot equals the dense rank-one update, and a row whose
+    # pivot-column entry is zero (cost row included) keeps every bit, down to
+    # the sign of its zeros, which the dense update can flip
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        tab = rng.uniform(-3.0, 3.0, (m + 1, n + 1))
+        sparse = rng.random((m + 1, n + 1)) < 0.6
+        tab[sparse] = np.copysign(0.0, rng.uniform(-1.0, 1.0, sparse.sum()))
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        tab[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        others = np.delete(np.arange(m + 1), row)
+        zero = rng.choice(others, size=int(rng.integers(1, m + 1)), replace=False)
+        if trial % 2:
+            zero = np.union1d(zero, [m])   # the cost row among them
+        tab[zero, col] = 0.0
+        before = tab.copy()
+        expected = tab.copy()
+        expected[row] /= expected[row, col]
+        piv = expected[:, col].copy()
+        piv[row] = 0.0
+        expected = expected - np.outer(piv, expected[row])
+        basis = np.arange(m)
+        _pivot(tab, basis, row, col)
+        assert np.array_equal(tab, expected)
+        assert basis[row] == col
+        untouched = np.setdiff1d(np.flatnonzero(before[:, col] == 0.0), [row])
+        assert untouched.size >= 1
+        assert tab[untouched].tobytes() == before[untouched].tobytes()
 
 
 def test_check_feasible_reports_each_violation_kind():
