@@ -43,33 +43,36 @@ class CostReport:
     netting_residual: float | None = None
 
 
-def _check_bargaining(j_social: float, total_selfish: float) -> None:
-    if total_selfish - j_social < -1e-9 * (1.0 + abs(j_social)):
-        raise BargainingError(
-            f"cooperative cost {j_social:.6f} exceeds the stand-alone total "
-            f"{total_selfish:.6f}; there is no allocation everyone accepts")
+def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
+    selfish_costs = np.asarray(selfish_costs, dtype=float)
+    if selfish_costs.size != scenario.n_users:
+        raise ValueError(f"expected {scenario.n_users} stand-alone costs, "
+                         f"got {selfish_costs.size}")
+    return selfish_costs
+
+
+def _report(scenario: Scenario, j_social: float, selfish: np.ndarray, allocated: np.ndarray,
+            epsilon: float, method: str, rounds: int,
+            schedule: PowerSchedule | None) -> CostReport:
+    report = CostReport(agent_ids=tuple(a.id for a in scenario.users), j_social=j_social,
+                        selfish=selfish, allocated=allocated, epsilon=float(epsilon),
+                        method=method, rounds=rounds)
+    if schedule is not None:
+        report.consumption, report.netting_residual = consumption_costs(scenario, schedule)
+    return report
 
 
 def allocate_centralized(scenario: Scenario, j_social: float,
                          selfish_costs: np.ndarray,
                          schedule: PowerSchedule | None = None) -> CostReport:
-    selfish_costs = np.asarray(selfish_costs, dtype=float)
-    r = scenario.n_users
-    if selfish_costs.size != r:
-        raise ValueError(f"expected {r} stand-alone costs, got {selfish_costs.size}")
-    _check_bargaining(j_social, float(selfish_costs.sum()))
-    epsilon = (selfish_costs.sum() - j_social) / r
-    report = CostReport(
-        agent_ids=tuple(a.id for a in scenario.users),
-        j_social=j_social,
-        selfish=selfish_costs,
-        allocated=selfish_costs - epsilon,
-        epsilon=float(epsilon),
-        method="centralized",
-    )
-    if schedule is not None:
-        report.consumption, report.netting_residual = consumption_costs(scenario, schedule)
-    return report
+    selfish_costs = _selfish_costs(scenario, selfish_costs)
+    if selfish_costs.sum() - j_social < -1e-9 * (1.0 + abs(j_social)):
+        raise BargainingError(
+            f"cooperative cost {j_social:.6f} exceeds the stand-alone total "
+            f"{selfish_costs.sum():.6f}; there is no allocation everyone accepts")
+    epsilon = (selfish_costs.sum() - j_social) / scenario.n_users
+    return _report(scenario, j_social, selfish_costs, selfish_costs - epsilon, epsilon,
+                   "centralized", 0, schedule)
 
 
 def allocate_distributed(scenario: Scenario, j_social: float,
@@ -83,37 +86,23 @@ def allocate_distributed(scenario: Scenario, j_social: float,
     estimate.  The per-node consensus target is tightened by r / (r + 1) so
     the recovered shares match the centralized split within tol.
     """
-    selfish_costs = np.asarray(selfish_costs, dtype=float)
+    selfish_costs = _selfish_costs(scenario, selfish_costs)
     r = scenario.n_users
-    if selfish_costs.size != r:
-        raise ValueError(f"expected {r} stand-alone costs, got {selfish_costs.size}")
-    by_id = dict(zip((a.id for a in scenario.users), selfish_costs))
-    grid_id = scenario.grid_agent.id
-    initial = np.array([-j_social if i == grid_id else by_id[i]
-                        for i in scenario.graph.node_ids])
+    # graph node k is scenario.agents[k]: both are in id order
+    is_user = np.array([a.role != ROLE_GRID for a in scenario.agents])
+    initial = np.full(r + 1, -j_social, dtype=float)
+    initial[is_user] = selfish_costs
     state = run_consensus(initial, scenario.graph,
                           tol=tol * r / (r + 1), max_iters=max_rounds)
-    estimates = {i: state.values[k] for k, i in enumerate(scenario.graph.node_ids)}
     # the node average is conserved, so the mean estimate carries no consensus error
     epsilon = (r + 1) / r * float(state.values.mean())
     if epsilon < -1e-9 * (1.0 + abs(j_social)):
         raise BargainingError(
             f"consensus found negative savings ({epsilon:.6f} per user); "
             "cooperation does not pay here")
-    allocated = np.array([by_id[a.id] - (r + 1) / r * estimates[a.id]
-                          for a in scenario.users])
-    report = CostReport(
-        agent_ids=tuple(a.id for a in scenario.users),
-        j_social=j_social,
-        selfish=selfish_costs,
-        allocated=allocated,
-        epsilon=epsilon,
-        method="distributed",
-        rounds=state.iteration,
-    )
-    if schedule is not None:
-        report.consumption, report.netting_residual = consumption_costs(scenario, schedule)
-    return report
+    allocated = selfish_costs - (r + 1) / r * state.values[is_user]
+    return _report(scenario, j_social, selfish_costs, allocated, epsilon, "distributed",
+                   state.iteration, schedule)
 
 
 def consumption_costs(scenario: Scenario, schedule: PowerSchedule) -> tuple[np.ndarray, float]:

@@ -195,32 +195,34 @@ def check_schedule(scenario: Scenario, schedule: PowerSchedule,
     return faults
 
 
-# --- CSV form of a schedule ------------------------------------------------------
-#
-# Columns: t, P_G_buy_kw, P_G_sell_kw, then P_B_<id>_kw and E_<id>_kwh per
-# active agent in id order.  One row per step.
+# --- CSV artifacts -----------------------------------------------------------------
 
 
-def schedule_field_names(scenario: Scenario) -> list[str]:
-    names = ["t", "P_G_buy_kw", "P_G_sell_kw"]
-    names += [f"P_B_{a.id}_kw" for a in scenario.active_users]
-    names += [f"E_{a.id}_kwh" for a in scenario.active_users]
-    return names
+def csv_text(header, rows) -> str:
+    """The one CSV format of every artifact.
+
+    Ints and strings are written as they are, every other value as
+    repr(float(v)), which reads back as the same float: re-runs are
+    bit-identical and readers lose no precision.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
+                     for row in rows)
+    return out.getvalue()
 
 
 def schedule_csv_text(scenario: Scenario, schedule: PowerSchedule) -> str:
-    ids = [a.id for a in scenario.active_users]
-    energies = {a.id: stored_energy(a.desd, schedule.desd_power_kw[a.id], schedule.dt_hours)
-                for a in scenario.active_users}
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(schedule_field_names(scenario))
-    for t in range(schedule.horizon):
-        row = [t, repr(float(schedule.grid_buy_kw[t])), repr(float(schedule.grid_sell_kw[t]))]
-        row += [repr(float(schedule.desd_power_kw[i][t])) for i in ids]
-        row += [repr(float(energies[i][t])) for i in ids]
-        writer.writerow(row)
-    return out.getvalue()
+    """Columns t, P_G_buy_kw, P_G_sell_kw, then P_B_<id>_kw and E_<id>_kwh per
+    active agent in id order; one row per step."""
+    users = scenario.active_users
+    header = ["t", "P_G_buy_kw", "P_G_sell_kw"]
+    header += [f"P_B_{a.id}_kw" for a in users] + [f"E_{a.id}_kwh" for a in users]
+    power = [schedule.desd_power_kw[a.id] for a in users]
+    energy = [stored_energy(a.desd, p, schedule.dt_hours) for a, p in zip(users, power)]
+    table = np.column_stack([schedule.grid_buy_kw, schedule.grid_sell_kw, *power, *energy])
+    return csv_text(header, ([t, *row] for t, row in enumerate(table.tolist())))
 
 
 def read_schedule_csv(path: str | Path, dt_hours: float) -> PowerSchedule:

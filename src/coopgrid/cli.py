@@ -4,22 +4,24 @@ Exit codes are part of the interface:
   0  success
   2  scenario or argument validation failure (nothing is written)
   3  infeasible scenario
-  4  solver or consensus did not converge (artifacts are still written)
+  4  solver or consensus did not converge (artifacts are still written, except
+     when allocate --distributed runs out of consensus rounds: with no split
+     there is nothing to write)
   5  bargaining failed: cooperation does not beat standing alone
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
 
-All files go through a temp-and-rename so readers never see a half-written
-artifact.  CSV outputs are bit-identical across re-runs on the same input;
+solve, compare and allocate hand their artifacts to write_run, which writes
+them and then report.json.  All files go through a temp-and-rename so readers
+never see a half-written artifact.  Every CSV has the one format of
+centralized.csv_text and is bit-identical across re-runs on the same input;
 the JSON run report is not, because it records wall time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import BargainingError, allocate_centralized, allocate_distributed
-from .centralized import InfeasibleScenarioError, schedule_csv_text, solve_social
+from .centralized import InfeasibleScenarioError, csv_text, schedule_csv_text, solve_social
 from .codes import CodesConfig, run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
 from .graph import GraphError
@@ -74,37 +76,21 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def trace_csv_text(trace) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(TRACE_FIELDS)
-    for k, j, imb, dis, step in trace.rows():
-        writer.writerow([k, repr(j), repr(imb), repr(dis), repr(step)])
-    return out.getvalue()
+def write_run(args, sc: Scenario, command: str, started: float, files: dict[str, str],
+              **fields) -> None:
+    """Write a run's artifacts, {file name: text}, then its report.json.
 
-
-def cost_csv_text(report) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["agent", "D", "J_alloc", "consumption", "epsilon"])
-    for k, agent_id in enumerate(report.agent_ids):
-        consumption = "" if report.consumption is None else repr(float(report.consumption[k]))
-        writer.writerow([agent_id, repr(float(report.selfish[k])),
-                         repr(float(report.allocated[k])), consumption,
-                         repr(report.epsilon)])
-    return out.getvalue()
-
-
-def run_report(scenario_path: Path, scenario: Scenario, command: str, started: float,
-               **extra) -> dict:
-    report = {
-        "command": command,
-        "scenario": str(scenario_path),
-        "scenario_digest": scenario_digest(scenario),
-        "wall_time_s": time.perf_counter() - started,
-    }
-    report.update(extra)
-    return report
+    The report lists what was written under `schedule_files`.
+    """
+    out_dir = Path(args.out_dir)
+    paths = [out_dir / name for name in files]
+    for path, text in zip(paths, files.values()):
+        write_atomic(path, text)
+    report = {"command": command, "scenario": str(Path(args.scenario)),
+              "scenario_digest": scenario_digest(sc),
+              "wall_time_s": time.perf_counter() - started,
+              **fields, "schedule_files": sorted(map(str, paths))}
+    write_atomic(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
 
 
 def _load(path_str: str) -> Scenario:
@@ -114,38 +100,40 @@ def _load(path_str: str) -> Scenario:
     return load_scenario(path)
 
 
+def _solve_oracle(sc: Scenario):
+    """The social optimum, its cost and its schedule CSV."""
+    schedule, j = solve_social(sc)
+    return schedule, j, {"schedule_centralized.csv": schedule_csv_text(sc, schedule)}
+
+
+def _solve_codes(sc: Scenario, config: CodesConfig):
+    """A distributed run and its schedule and trace CSVs."""
+    result = run_codes(sc, config)
+    return result, {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
+                    "trace_codes.csv": csv_text(TRACE_FIELDS, result.trace.rows())}
+
+
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     sc = _load(args.scenario)
-    out_dir = Path(args.out_dir)
-    method = "codes" if args.codes else "centralized"
-    exit_code = EXIT_OK
-    if method == "centralized":
-        schedule, j = solve_social(sc)
-        files = {"schedule": out_dir / "schedule_centralized.csv"}
-        write_atomic(files["schedule"], schedule_csv_text(sc, schedule))
-        extra = {"j": j, "config": {}, "iterations": 0, "converged": True}
-        print(f"centralized optimum J = {j:.6f}")
-    else:
+    if args.codes:
         config = CodesConfig.from_scenario(sc)
-        result = run_codes(sc, config)
-        files = {"schedule": out_dir / "schedule_codes.csv",
-                 "trace": out_dir / "trace_codes.csv"}
-        write_atomic(files["schedule"], schedule_csv_text(sc, result.schedule))
-        write_atomic(files["trace"], trace_csv_text(result.trace))
-        extra = {"j": result.j, "config": dataclasses.asdict(config),
-                 "iterations": result.iterations, "converged": result.converged}
+        result, files = _solve_codes(sc, config)
+        fields = {"method": "codes", "j": result.j, "config": dataclasses.asdict(config),
+                  "iterations": result.iterations, "converged": result.converged}
         print(f"distributed schedule J = {result.j:.6f} "
               f"after {result.iterations} iterations")
-        if not result.converged:
-            print("warning: stopped at the iteration cap before the "
-                  "convergence test fired", file=sys.stderr)
-            exit_code = EXIT_NO_CONVERGENCE
-    extra["schedule_files"] = sorted(str(p) for p in files.values())
-    write_atomic(out_dir / "report.json",
-                 json.dumps(run_report(Path(args.scenario), sc, "solve", started,
-                                       method=method, **extra), indent=2) + "\n")
-    return exit_code
+    else:
+        _, j, files = _solve_oracle(sc)
+        fields = {"method": "centralized", "j": j, "config": {}, "iterations": 0,
+                  "converged": True}
+        print(f"centralized optimum J = {j:.6f}")
+    write_run(args, sc, "solve", started, files, **fields)
+    if not fields["converged"]:
+        print("warning: stopped at the iteration cap before the "
+              "convergence test fired", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _check_tolerance(flag: str, value: float, zero_ok: bool = False) -> None:
@@ -158,7 +146,6 @@ def cmd_allocate(args) -> int:
     started = time.perf_counter()
     _check_tolerance("--graph-tol", args.graph_tol)
     sc = _load(args.scenario)
-    out_dir = Path(args.out_dir)
     selfish = disagreement_point(sc)
     convergence_ok = True
     if args.social_method == "codes":
@@ -173,28 +160,23 @@ def cmd_allocate(args) -> int:
                                           schedule=schedule)
         except GraphError as exc:
             # the graph itself was validated at load time, so this is the
-            # consensus loop running out of rounds
+            # consensus loop running out of rounds: there is no split to write
             return _fail(EXIT_NO_CONVERGENCE, str(exc))
     else:
         report = allocate_centralized(sc, j, selfish, schedule=schedule)
-    write_atomic(out_dir / "costs.csv", cost_csv_text(report))
-    table = run_report(
-        Path(args.scenario), sc, "allocate", started,
-        method=report.method, social_method=args.social_method, j=j,
-        epsilon=report.epsilon, rounds=report.rounds,
-        netting_residual=report.netting_residual,
-        schedule_files=[str(out_dir / "costs.csv")],
-        cost_table=[{"agent": int(a), "D": float(d), "J_alloc": float(x),
-                     "consumption": float(c)}
-                    for a, d, x, c in zip(report.agent_ids, report.selfish,
-                                          report.allocated, report.consumption)],
-        config={"graph_tol": args.graph_tol},
-    )
-    write_atomic(out_dir / "report.json", json.dumps(table, indent=2) + "\n")
+    rows = list(zip(report.agent_ids, report.selfish, report.allocated, report.consumption))
+    costs = csv_text(["agent", "D", "J_alloc", "consumption", "epsilon"],
+                     (row + (report.epsilon,) for row in rows))
+    write_run(args, sc, "allocate", started, {"costs.csv": costs},
+              method=report.method, social_method=args.social_method, j=j,
+              epsilon=report.epsilon, rounds=report.rounds,
+              netting_residual=report.netting_residual,
+              cost_table=[{"agent": int(a), "D": float(d), "J_alloc": float(x),
+                           "consumption": float(c)} for a, d, x, c in rows],
+              config={"graph_tol": args.graph_tol})
     print(f"{'agent':>6} {'D':>12} {'J_alloc':>12} {'consumption':>12}")
-    for row in table["cost_table"]:
-        print(f"{row['agent']:>6} {row['D']:>12.6f} {row['J_alloc']:>12.6f} "
-              f"{row['consumption']:>12.6f}")
+    for a, d, x, c in rows:
+        print(f"{a:>6} {d:>12.6f} {x:>12.6f} {c:>12.6f}")
     print(f"social cost J = {j:.6f}, per-user saving epsilon = {report.epsilon:.6f}")
     if not convergence_ok:
         print("warning: social cost comes from a non-converged run", file=sys.stderr)
@@ -206,10 +188,10 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     _check_tolerance("--tol", args.tol, zero_ok=True)   # 0 demands an exact match
     sc = _load(args.scenario)
-    out_dir = Path(args.out_dir)
-    oracle_schedule, j_oracle = solve_social(sc)
+    oracle_schedule, j_oracle, files = _solve_oracle(sc)
     config = CodesConfig.from_scenario(sc)
-    result = run_codes(sc, config)
+    result, codes_files = _solve_codes(sc, config)
+    files.update(codes_files)
     gap = abs(result.j - j_oracle) / abs(j_oracle) if j_oracle != 0 else abs(result.j)
 
     ids = [a.id for a in sc.active_users]
@@ -219,19 +201,10 @@ def cmd_compare(args) -> int:
                           - oracle_schedule.desd_power_kw[i]).max() for i in ids]
     max_dev = float(max(deviations))
 
-    write_atomic(out_dir / "schedule_centralized.csv",
-                 schedule_csv_text(sc, oracle_schedule))
-    write_atomic(out_dir / "schedule_codes.csv", schedule_csv_text(sc, result.schedule))
-    write_atomic(out_dir / "trace_codes.csv", trace_csv_text(result.trace))
-    report = run_report(
-        Path(args.scenario), sc, "compare", started,
-        j_codes=result.j, j_oracle=j_oracle, rel_gap=gap, tol=args.tol,
-        max_schedule_deviation_kw=max_dev, iterations=result.iterations,
-        converged=result.converged, config=dataclasses.asdict(config),
-        schedule_files=[str(out_dir / "schedule_centralized.csv"),
-                        str(out_dir / "schedule_codes.csv")],
-    )
-    write_atomic(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
+    write_run(args, sc, "compare", started, files,
+              j_codes=result.j, j_oracle=j_oracle, rel_gap=gap, tol=args.tol,
+              max_schedule_deviation_kw=max_dev, iterations=result.iterations,
+              converged=result.converged, config=dataclasses.asdict(config))
     print(f"J_codes = {result.j:.6f}  J_oracle = {j_oracle:.6f}  "
           f"rel_gap = {gap:.3e} (tol {args.tol:g})")
     print(f"max schedule deviation = {max_dev:.4f} kW "
@@ -247,13 +220,8 @@ def cmd_compare(args) -> int:
 
 def cmd_weights(args) -> int:
     sc = _load(args.scenario)
-    out = io.StringIO()
-    writer = csv.writer(out)
     ids = sc.graph.node_ids
-    writer.writerow(["node"] + [str(i) for i in ids])
-    for k, i in enumerate(ids):
-        writer.writerow([i] + [repr(float(w)) for w in sc.graph.weights[k]])
-    text = out.getvalue()
+    text = csv_text(["node", *ids], ([i, *w] for i, w in zip(ids, sc.graph.weights.tolist())))
     write_atomic(Path(args.out_dir) / "weights.csv", text)
     print(text, end="")
     return EXIT_OK

@@ -19,7 +19,6 @@ the system.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -166,7 +165,6 @@ class CodesResult:
     iterations: int
     converged: bool
     trace: ConvergenceTrace
-    wall_time_s: float
 
 
 def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesResult:
@@ -177,7 +175,6 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     """
     if config is None:
         config = CodesConfig.from_scenario(scenario)
-    started = time.perf_counter()
     state = CodesState(scenario, config)
     trace = ConvergenceTrace()
     for _ in range(config.max_iters):
@@ -196,5 +193,4 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         grid_buy_kw=buy, grid_sell_kw=sell, dt_hours=scenario.dt_hours,
         desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, state.p_desd)})
     return CodesResult(schedule=schedule, j=schedule_cost(schedule, scenario.tariff),
-                       iterations=len(trace), converged=converged, trace=trace,
-                       wall_time_s=time.perf_counter() - started)
+                       iterations=len(trace), converged=converged, trace=trace)

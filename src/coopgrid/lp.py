@@ -138,41 +138,29 @@ class _StandardForm:
     b: np.ndarray
     cost: np.ndarray          # objective over the y columns
     upper: np.ndarray         # per y column; +inf when unbounded above
-    col_var: list[int]        # originating variable of each y column
-    col_sign: list[float]
+    col_var: np.ndarray       # originating variable of each y column
+    col_sign: np.ndarray
     offsets: np.ndarray       # per original variable
     n_slack: int
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     """Build equality standard form; None when a bound pair is contradictory."""
-    n = lp.n_vars
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    col_upper: list[float] = []
-    offsets = np.zeros(n)
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo > hi + FEAS_TOL:
-            return None
-        if np.isfinite(lo):
-            offsets[j] = lo
-            col_var.append(j)
-            col_sign.append(1.0)
-            col_upper.append(max(hi - lo, 0.0))
-        elif np.isfinite(hi):
-            offsets[j] = hi
-            col_var.append(j)
-            col_sign.append(-1.0)
-            col_upper.append(np.inf)
-        else:
-            col_var += [j, j]
-            col_sign += [1.0, -1.0]
-            col_upper += [np.inf, np.inf]
-    n_cols = len(col_var)
-
-    sign = np.array(col_sign)
-    var = np.array(col_var)
+    lo, hi = lp.lower, lp.upper
+    if np.any(lo > hi + FEAS_TOL):
+        return None
+    shift = np.isfinite(lo)
+    flip = ~shift & np.isfinite(hi)
+    free = ~shift & ~flip
+    offsets = np.where(shift, lo, np.where(flip, hi, 0.0))
+    width = np.full(lp.n_vars, np.inf)
+    width[shift] = np.maximum(hi[shift] - lo[shift], 0.0)
+    # a free variable's two columns sit next to each other, y+ then y-
+    var = np.repeat(np.arange(lp.n_vars), np.where(free, 2, 1))
+    sign = np.where(flip, -1.0, 1.0)[var]
+    sign[1:][var[1:] == var[:-1]] = -1.0
+    col_upper = width[var]
+    n_cols = var.size
 
     def project(mat: np.ndarray) -> np.ndarray:
         return mat[:, var] * sign
@@ -199,7 +187,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     cost = np.zeros(n_cols + m_ub)
     cost[:n_cols] = lp.f[var] * sign
     upper = np.concatenate([col_upper, np.full(m_ub, np.inf)])
-    return _StandardForm(a, b, cost, upper, col_var, col_sign, offsets, m_ub)
+    return _StandardForm(a, b, cost, upper, var, sign, offsets, m_ub)
 
 
 # --- tableau simplex ----------------------------------------------------------

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .graph import CommGraph, GraphError, metropolis_weights
 
 ROLE_PASSIVE = "passive"
@@ -301,25 +299,3 @@ def dump_scenario(sc: Scenario) -> str:
 def scenario_digest(sc: Scenario) -> str:
     canon = json.dumps(scenario_to_dict(sc), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def synth_tariff(horizon: int, base: float, peak_hours, peak_multiplier: float,
-                 sell_ratio: float) -> Tariff:
-    """Flat buy price with a multiplied peak window; sell = ratio * buy.
-
-    peak_hours are 0-based step indices.  sell_ratio must lie in (0, 1] and
-    peak_multiplier must be >= 1 so the result always passes validation.
-    """
-    if not 0 < sell_ratio <= 1:
-        raise ValueError("sell_ratio must lie in (0, 1]")
-    if peak_multiplier < 1:
-        raise ValueError("peak_multiplier must be at least 1")
-    if base < 0:
-        raise ValueError("base price must be nonnegative")
-    buy = np.full(horizon, float(base))
-    for h in peak_hours:
-        if not 0 <= h < horizon:
-            raise ValueError(f"peak hour {h} outside horizon 0..{horizon - 1}")
-        buy[h] = base * peak_multiplier
-    sell = sell_ratio * buy
-    return Tariff(buy=tuple(buy.tolist()), sell=tuple(sell.tolist()))

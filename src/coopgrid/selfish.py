@@ -19,7 +19,6 @@ from .scenario import AgentSpec, Scenario, Tariff
 
 @dataclass
 class SelfishSolution:
-    agent_id: int
     grid_buy_kw: np.ndarray
     grid_sell_kw: np.ndarray
     desd_power_kw: np.ndarray    # zeros for passive users
@@ -34,7 +33,7 @@ def solve_selfish(agent: AgentSpec, tariff: Tariff, p_grid_max_kw: float,
     buy, sell, dispatch, cost = solve_day_lp(
         lp, t, lambda: f"agent {agent.id} cannot cover its own demand within the grid "
                        f"limit {p_grid_max_kw} kW")
-    return SelfishSolution(agent_id=agent.id, grid_buy_kw=buy, grid_sell_kw=sell,
+    return SelfishSolution(grid_buy_kw=buy, grid_sell_kw=sell,
                            desd_power_kw=dispatch[0] if desds else np.zeros(t), cost=cost)
 
 

@@ -6,6 +6,7 @@ from coopgrid.centralized import (
     InfeasibleScenarioError,
     build_social_lp,
     check_schedule,
+    csv_text,
     net_exchange,
     read_schedule_csv,
     schedule_cost,
@@ -175,6 +176,14 @@ def test_check_schedule_flags_tampering(fixtures_dir):
     schedule.desd_power_kw[1][:] = [-5.0, -5.0]   # lands at 11 kWh, box ends at 9
     faults = check_schedule(sc, schedule)
     assert any("above emax" in f for f in faults)
+
+
+def test_csv_text_writes_ints_and_strings_as_they_are_and_floats_by_repr():
+    floats = [np.float64(0.1), -0.0, 0.1 + 0.2, 1e-300]
+    text = csv_text(["t", "agent", "a", "b", "c", "d"], [[7, "x", *floats]])
+    assert text == "t,agent,a,b,c,d\r\n7,x,0.1,-0.0,0.30000000000000004,1e-300\r\n"
+    back = [float(v) for v in text.splitlines()[1].split(",")[2:]]
+    assert np.array(back).tobytes() == np.array(floats).tobytes()   # -0.0 keeps its sign
 
 
 def test_schedule_csv_round_trip(tmp_path, fixtures_dir):

@@ -27,6 +27,11 @@ def arbitrage_path(fixtures_dir) -> str:
     return str(fixtures_dir / "arbitrage_t2.json")
 
 
+def assert_report_lists_its_files(out_dir: Path, report: dict) -> None:
+    written = sorted(str(p) for p in out_dir.iterdir() if p.name != "report.json")
+    assert report["schedule_files"] == written
+
+
 def test_validate_ok_prints_digest(fixtures_dir, capsys):
     assert main(["validate", "--scenario", arbitrage_path(fixtures_dir)]) == 0
     sc = load_scenario(arbitrage_path(fixtures_dir))
@@ -106,6 +111,7 @@ def test_solve_centralized_writes_schedule_and_report(fixtures_dir, tmp_path):
     assert abs(report["j"] - (-1.4)) < 1e-9
     sc = load_scenario(arbitrage_path(fixtures_dir))
     assert report["scenario_digest"] == scenario_digest(sc)
+    assert_report_lists_its_files(tmp_path, report)
 
 
 def test_solve_codes_writes_trace(fixtures_dir, tmp_path):
@@ -119,6 +125,7 @@ def test_solve_codes_writes_trace(fixtures_dir, tmp_path):
     assert report["converged"] is True
     assert len(trace) == report["iterations"]
     assert float(trace[-1]["max_imbalance_kw"]) <= report["config"]["tol_balance_kw"]
+    assert_report_lists_its_files(tmp_path, report)
 
 
 def test_solve_codes_iteration_cap_exits_nonzero_but_writes(tmp_path, fixtures_dir):
@@ -153,6 +160,7 @@ def test_allocate_table_balances(fixtures_dir, tmp_path, capsys):
     assert len(eps) == 1
     assert np.allclose(selfish - allocated, report["epsilon"], atol=1e-12)
     assert "epsilon" in capsys.readouterr().out
+    assert_report_lists_its_files(tmp_path, report)
 
 
 def test_allocate_distributed_matches_centralized(fixtures_dir, tmp_path):
@@ -167,6 +175,16 @@ def test_allocate_distributed_matches_centralized(fixtures_dir, tmp_path):
         assert abs(float(rc["J_alloc"]) - float(rd["J_alloc"])) <= 1e-6
     rounds = json.loads((tmp_path / "d" / "report.json").read_text())["rounds"]
     assert 0 < rounds <= 200
+
+
+def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path, capsys):
+    # 1e-300 is never reached, so consensus stops at its 100 000-round cap
+    out = tmp_path / "out"
+    code = main(["allocate", "--distributed", "--graph-tol", "1e-300",
+                 "--scenario", str(fixtures_dir / "three_agent.json"), "--out-dir", str(out)])
+    assert code == 4
+    assert "100000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_allocate_failed_bargaining_exit_code(fixtures_dir, tmp_path, monkeypatch):
@@ -189,6 +207,7 @@ def test_compare_passes_on_pinned_fixture(fixtures_dir, tmp_path, capsys):
     assert (tmp_path / "schedule_centralized.csv").is_file()
     assert (tmp_path / "schedule_codes.csv").is_file()
     assert (tmp_path / "trace_codes.csv").is_file()
+    assert_report_lists_its_files(tmp_path, report)
 
 
 def test_compare_zero_tolerance_fails(fixtures_dir, tmp_path):

@@ -10,7 +10,6 @@ from coopgrid.scenario import (
     load_scenario,
     scenario_digest,
     scenario_from_dict,
-    synth_tariff,
 )
 
 
@@ -122,25 +121,3 @@ def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict(d)
     assert needle in str(exc.value)
-
-
-def test_synth_tariff_peak_window():
-    t = synth_tariff(24, base=0.10, peak_hours=range(14, 19), peak_multiplier=2.0,
-                     sell_ratio=0.8)
-    buy = np.array(t.buy)
-    sell = np.array(t.sell)
-    assert np.allclose(buy[14:19], 0.20)
-    assert np.allclose(np.delete(buy, range(14, 19)), 0.10)
-    assert np.allclose(sell, 0.8 * buy)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(base=0.1, peak_hours=[1], peak_multiplier=2.0, sell_ratio=0.0),
-    dict(base=0.1, peak_hours=[1], peak_multiplier=2.0, sell_ratio=1.2),
-    dict(base=0.1, peak_hours=[1], peak_multiplier=0.5, sell_ratio=0.8),
-    dict(base=-0.1, peak_hours=[1], peak_multiplier=2.0, sell_ratio=0.8),
-    dict(base=0.1, peak_hours=[24], peak_multiplier=2.0, sell_ratio=0.8),
-])
-def test_synth_tariff_rejects_bad_inputs(kwargs):
-    with pytest.raises(ValueError):
-        synth_tariff(24, **kwargs)
