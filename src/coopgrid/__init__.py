@@ -6,7 +6,7 @@ The package splits into three layers:
   but always-valid instances);
 - solvers: `centralized` (exact LP oracle on top of `lp`), `codes` (the
   distributed primal-dual scheme over the communication graph), `selfish`
-  (per-agent stand-alone optima), `bruteforce` (tiny exhaustive oracles);
+  (per-agent stand-alone optima);
 - settlement: `allocation` (equal-savings bargaining split, centralized or
   by consensus via `graph`).
 

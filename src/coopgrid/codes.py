@@ -8,8 +8,9 @@ consensus exchange that mixes the neighbors' estimates, feeds in the change
 of its own imbalance (dynamic average tracking), and walks the price
 estimate by an integral term until imbalance dies out.
 
-The buses are the rows of stacked arrays in `graph.node_ids` order, and the
-exchange is one Metropolis mix `X <- W @ X`.  With w_ii = 1 - sum_j w_ij this
+A round runs every bus at once: all buses' decision variables form one
+primal block, and their estimates one (n_bus, 2T) array [lam_hat | dp_hat]
+mixed by one Metropolis product `W @ est`.  With w_ii = 1 - sum_j w_ij this
 is each bus adding w_ij * (x_j - x_i) over its neighbors; w_ij is zero off
 the edges, so W's sparsity pattern is the graph.  The imbalance estimates
 always sum to the true system imbalance, so driving them to zero balances
@@ -59,85 +60,81 @@ class CodesConfig:
 
 
 class CodesState:
-    """Every bus's iterate, stacked one row per bus in `graph.node_ids` order.
+    """Every bus's iterate.
 
-    Grid exchange is (T,) arrays; storage dispatch and its energy-box
-    multipliers are (n_active, T) arrays; estimates are (n_bus, T) arrays.
+    `x` is the primal block, (2 + n_active, T): grid buy, grid sell, then one
+    dispatch row per battery, with column-vector boxes `lo`, `hi` and steps
+    `xi1`.  `route` ties each row to its bus (+1 buy and dispatch, -1 sell):
+    `route @ price` prices the rows, `route.T @ x` is each bus's own supply.
+    `est` is (n_bus, 2T), [lam_hat | dp_hat], rows in `graph.node_ids` order;
+    `mu` is (2, n_active, T), [mu1, mu2].  The named parts are views.
     """
+
+    p_buy = property(lambda self: self.x[0])
+    p_sell = property(lambda self: self.x[1])
+    p_desd = property(lambda self: self.x[2:])
+    lam_hat = property(lambda self: self.est[:, :self.t])    # price estimates
+    dp_hat = property(lambda self: self.est[:, self.t:])     # imbalance estimates
+    mu1 = property(lambda self: self.mu[0])                  # stored energy above emax
+    mu2 = property(lambda self: self.mu[1])                  # stored energy below emin
 
     def __init__(self, scenario: Scenario, config: CodesConfig):
         agents = [scenario.agent(i) for i in scenario.graph.node_ids]
-        self.grid_row = next(k for k, a in enumerate(agents) if a.role == ROLE_GRID)
-        self.active_rows = np.flatnonzero([a.role == ROLE_ACTIVE for a in agents])
-        self.active_ids = [agents[k].id for k in self.active_rows]
-        desds = [agents[k].desd for k in self.active_rows]
-        boxes = np.array([(d.e0_kwh, d.emin_kwh, d.emax_kwh, -d.p_charge_max_kw,
-                           d.p_discharge_max_kw) for d in desds])
-        self.e0, self.emin, self.emax, self.p_lo, self.p_hi = boxes.reshape(-1, 5).T[:, :, None]
-        t, n_active = scenario.horizon, len(self.active_rows)
-        self.config = config
-        self.weights = scenario.graph.weights
-        self.dt = scenario.dt_hours
-        self.p_grid_max = scenario.p_grid_max_kw
-        self.buy_price = np.array(scenario.tariff.buy) * self.dt
-        self.sell_price = np.array(scenario.tariff.sell) * self.dt
-        # what each bus asks for before any dispatch; passive and grid buses
-        # carry no renewables, so demand minus renewables fits every role
+        grid_row = next(k for k, a in enumerate(agents) if a.role == ROLE_GRID)
+        active_rows = np.flatnonzero([a.role == ROLE_ACTIVE for a in agents])
+        self.active_ids = [agents[k].id for k in active_rows]
+        self.config, self.weights, self.dt = config, scenario.graph.weights, scenario.dt_hours
+        self.t = t = scenario.horizon
+        # per row of x: stored-energy box (none on the grid rows) and power box
+        boxes = np.array([(0.0, 0.0, 0.0, 0.0, scenario.p_grid_max_kw)] * 2 + [
+            (d.e0_kwh, d.emin_kwh, d.emax_kwh, -d.p_charge_max_kw, d.p_discharge_max_kw)
+            for d in (agents[k].desd for k in active_rows)])
+        e0, emin, emax, self.lo, self.hi = boxes.T[:, :, None]
+        self.xi1 = np.array([config.xi1_grid] * 2 + [config.xi1_desd] * len(active_rows))[:, None]
+        self.box = np.stack((e0 - emax, emin - e0))[:, 2:]   # the slacks before any drain
+        self.drain_dt = np.array([-1.0, 1.0])[:, None, None] * self.dt
+        bus = np.eye(len(agents))
+        self.route = np.vstack((bus[grid_row], -bus[grid_row], bus[active_rows]))
+        # the gradient's fixed part: what a kW bought costs, or sold earns, per step
+        tariff = np.array((scenario.tariff.buy, scenario.tariff.sell)) * [[self.dt], [-self.dt]]
+        self.tariff = np.vstack((tariff, np.zeros((len(active_rows), t))))
+        # each bus's demand net of renewables (passive and grid buses have none);
+        # less its own supply `route.T @ x`, it is what the bus asks of the rest
         self.base = np.array([np.array(a.demand_kw) - np.array(a.renewable_kw) for a in agents])
-        self.p_buy, self.p_sell = np.zeros(t), np.zeros(t)
-        self.p_desd = np.zeros((n_active, t))
-        self.mu1 = np.zeros((n_active, t))           # stored energy above emax
-        self.mu2 = np.zeros((n_active, t))           # stored energy below emin
-        self.lam_hat = np.zeros((len(agents), t))    # price estimates
+        self.x, self.mu = np.zeros_like(self.tariff), np.zeros((2, len(active_rows), t))
+        self.est = np.zeros((len(agents), 2 * t))
+        self.refresh_slacks()
         # imbalance estimates start at each bus's own imbalance, which
         # anchors their sum to the true total for the rest of the run
-        self.dp_local = self.local_imbalance()
-        self.dp_hat = self.dp_local.copy()
+        self.dp_local = self.base.copy()
+        self.dp_hat[:] = self.dp_local
 
-    def local_imbalance(self) -> np.ndarray:
-        """What each bus asks from the rest of the system: demand net of own
-        supply, and for the grid bus minus its net injection."""
-        out = self.base.copy()
-        out[self.grid_row] -= self.p_buy - self.p_sell
-        out[self.active_rows] -= self.p_desd
-        return out
-
-    def energy_slacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Signed overshoot of each stored-energy box per step, in kWh.
-
-        Positive means violated.  Keeping the sign lets the multipliers relax
-        once the box stops binding, which kills boundary chatter."""
-        drained = np.cumsum(self.p_desd, axis=1) * self.dt
-        return self.e0 - drained - self.emax, self.emin - self.e0 + drained
+    def refresh_slacks(self) -> None:
+        """`slack`, (2, n_active, T): signed overshoot of each stored-energy
+        box per step, in kWh, above emax and below emin.  Positive means
+        violated; keeping the sign lets the multipliers relax once the box
+        stops binding, which kills boundary chatter.  A round leaves its new
+        dispatch's slacks behind, so call this after moving `p_desd` by hand."""
+        self.slack = self.box + self.drain_dt * np.add.accumulate(self.x[2:], axis=1)
 
     def advance(self) -> float:
         """One synchronous round of every bus; returns the largest primal move."""
-        cfg = self.config
-        price = self.lam_hat + cfg.rho * self.dp_hat
-        grid_price = price[self.grid_row]
-        new_buy = np.clip(self.p_buy - cfg.xi1_grid * (self.buy_price - grid_price),
-                          0.0, self.p_grid_max)
-        new_sell = np.clip(self.p_sell - cfg.xi1_grid * (-self.sell_price + grid_price),
-                           0.0, self.p_grid_max)
-        over_full, over_empty = self.energy_slacks()
+        cfg, x, est, t = self.config, self.x, self.est, self.t
+        price = est[:, :t] + cfg.rho * est[:, t:]
+        grad = self.tariff - self.route @ price
         # each step's dispatch shifts every later stored-energy level, so the
         # box pressure accumulates from the end of the horizon backwards
-        pressure = (-np.maximum(self.mu1 + cfg.rho * over_full, 0.0)
-                    + np.maximum(self.mu2 + cfg.rho * over_empty, 0.0))
-        tail = np.cumsum(pressure[:, ::-1], axis=1)[:, ::-1]
-        grad = -price[self.active_rows] + self.dt * tail
-        new_p = np.clip(self.p_desd - cfg.xi1_desd * grad, self.p_lo, self.p_hi)
-        moved = max(np.abs(new_buy - self.p_buy).max(), np.abs(new_sell - self.p_sell).max(),
-                    np.abs(new_p - self.p_desd).max(initial=0.0))
-        self.p_buy, self.p_sell, self.p_desd = new_buy, new_sell, new_p
-
-        over_full, over_empty = self.energy_slacks()
-        self.mu1 = np.maximum(self.mu1 + cfg.xi2 * over_full, 0.0)
-        self.mu2 = np.maximum(self.mu2 + cfg.xi2 * over_empty, 0.0)
-
-        fresh = self.local_imbalance()
-        self.lam_hat = self.weights @ self.lam_hat + cfg.xi3 * self.dp_hat
-        self.dp_hat = self.weights @ self.dp_hat + fresh - self.dp_local
+        pressure = np.maximum(self.mu + cfg.rho * self.slack, 0.0)
+        pressure = pressure[1] - pressure[0]
+        grad[2:] += self.dt * np.add.accumulate(pressure[:, ::-1], axis=1)[:, ::-1]
+        self.x = new_x = np.minimum(np.maximum(x - self.xi1 * grad, self.lo), self.hi)
+        moved = abs(new_x - x).max()
+        self.refresh_slacks()
+        np.maximum(self.mu + cfg.xi2 * self.slack, 0.0, out=self.mu)
+        fresh = self.base - self.route.T @ new_x
+        self.est = mixed = self.weights @ est
+        mixed[:, :t] += cfg.xi3 * est[:, t:]
+        mixed[:, t:] += fresh - self.dp_local
         self.dp_local = fresh
         return float(moved)
 
@@ -176,17 +173,20 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     if config is None:
         config = CodesConfig.from_scenario(scenario)
     state = CodesState(scenario, config)
-    trace = ConvergenceTrace()
-    for _ in range(config.max_iters):
+    # per round: J_est, max imbalance, disagreement, step norm; grown as rounds run
+    rows = np.empty((min(config.max_iters, 1024), 4))
+    for k in range(config.max_iters):
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
         step_norm = state.advance()
-        max_imbalance = float(np.abs(state.dp_local.sum(axis=0)).max())
-        trace.j_est.append(float(state.buy_price @ state.p_buy - state.sell_price @ state.p_sell))
-        trace.max_imbalance_kw.append(max_imbalance)
-        trace.consensus_disagreement.append(float(np.ptp(state.dp_hat, axis=0).max()))
-        trace.primal_step_norm.append(step_norm)
-        converged = max_imbalance < config.tol_balance_kw and step_norm < config.tol_step
+        max_imbalance = abs(state.dp_local.sum(axis=0)).max()
+        dp_hat = state.dp_hat
+        rows[k] = (np.vdot(state.tariff[:2], state.x[:2]), max_imbalance,
+                   (dp_hat.max(axis=0) - dp_hat.min(axis=0)).max(), step_norm)
+        converged = bool(max_imbalance < config.tol_balance_kw and step_norm < config.tol_step)
         if converged:
             break
+    trace = ConvergenceTrace(*rows[:k + 1].T.tolist())
 
     buy, sell = net_exchange(state.p_buy, state.p_sell)
     schedule = PowerSchedule(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, check_feasible
+from coopgrid.lp import LinearProgram, LpSolution, check_feasible
 
 _CHUNK = 65536
 

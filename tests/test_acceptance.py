@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from bruteforce import brute_force_schedule, enumerate_lp_vertices
 from coopgrid.allocation import allocate_centralized
-from coopgrid.bruteforce import brute_force_schedule, enumerate_lp_vertices
 from coopgrid.centralized import check_schedule, net_exchange, read_schedule_csv, solve_social
 from coopgrid.cli import main
 from coopgrid.codes import run_codes

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopgrid.bruteforce import brute_force_schedule
+from bruteforce import brute_force_schedule
 from coopgrid.centralized import (
     InfeasibleScenarioError,
     build_social_lp,

@@ -128,8 +128,11 @@ def test_array_solver_matches_per_bus_reference(fixtures_dir):
 
 
 def test_array_solver_matches_per_bus_reference_on_41_buses():
-    spec = GenSpec(users=(40, 40), active=(20, 20), horizon=(24, 24), graph="ring")
-    assert_matches_reference(gen_scenario(spec, seed=1), 300)
+    # and on an 11-bus 48-step day, so a pin also holds off T = 24
+    for users, active, horizon in ((40, 20, 24), (10, 5, 48)):
+        spec = GenSpec(users=(users, users), active=(active, active),
+                       horizon=(horizon, horizon), graph="ring")
+        assert_matches_reference(gen_scenario(spec, seed=1), 300)
 
 
 def test_consensus_update_is_local(fixtures_dir):
@@ -146,8 +149,8 @@ def test_consensus_update_is_local(fixtures_dir):
     def one_round(bump):
         state = CodesState(sc, cfg)
         rng = np.random.default_rng(7)
-        state.lam_hat = rng.normal(size=state.lam_hat.shape)
-        state.dp_hat = rng.normal(size=state.dp_hat.shape)
+        state.lam_hat[:] = rng.normal(size=state.lam_hat.shape)
+        state.dp_hat[:] = rng.normal(size=state.dp_hat.shape)
         state.lam_hat[row[3]] += bump
         state.dp_hat[row[3]] += bump
         state.advance()
@@ -174,8 +177,9 @@ def test_imbalance_estimates_conserve_the_total(fixtures_dir):
     rng = np.random.default_rng(11)
     for _ in range(25):
         # moves made outside the round are tracked like the round's own
-        state.p_desd = np.clip(state.p_desd + rng.normal(0, 0.2, state.p_desd.shape),
-                               state.p_lo, state.p_hi)
+        state.p_desd[:] = np.clip(state.p_desd + rng.normal(0, 0.2, state.p_desd.shape),
+                                  state.lo[2:], state.hi[2:])
+        state.refresh_slacks()
         state.advance()
         assert np.abs(state.dp_hat.sum(axis=0) - total_imbalance()).max() <= 1e-9
 
@@ -185,13 +189,15 @@ def test_slack_multipliers_rest_inside_the_energy_box(fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     cfg = CodesConfig.from_scenario(sc)
     inside = CodesState(sc, cfg)
-    inside.p_desd = np.array([[-1.0, 1.0]])     # stays inside [emin, emax]
+    inside.p_desd[:] = [[-1.0, 1.0]]            # stays inside [emin, emax]
+    inside.refresh_slacks()
     inside.advance()
     assert np.array_equal(inside.p_desd, [[-1.0, 1.0]])
     assert np.array_equal(inside.mu1, np.zeros((1, 2)))
     assert np.array_equal(inside.mu2, np.zeros((1, 2)))
     drained = CodesState(sc, cfg)
-    drained.p_desd = np.array([[4.0, 0.0]])     # drains 4 kWh below emin
+    drained.p_desd[:] = [[4.0, 0.0]]            # drains 4 kWh below emin
+    drained.refresh_slacks()
     drained.advance()
     assert drained.mu2.max() > 0.0
     assert drained.mu1.max() == 0.0
@@ -205,6 +211,14 @@ def test_trace_rows_match_iterations(fixtures_dir):
     rows = list(res.trace.rows())
     assert rows[0][0] == 0 and rows[-1][0] == 136
     assert all(len(r) == 5 for r in rows)
+
+
+def test_huge_iteration_cap_records_only_the_rounds_run(fixtures_dir):
+    # the trace grows with the run, not with max_iters
+    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
+    res = run_codes(sc, dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=10**12))
+    assert res.converged
+    assert len(res.trace) == res.iterations
 
 
 def test_runs_are_deterministic(fixtures_dir):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopgrid.bruteforce import enumerate_lp_vertices
+from bruteforce import enumerate_lp_vertices
 from coopgrid.lp import LinearProgram, _pivot, check_feasible, solve_lp
 
 from lp_families import infeasible_lp, random_boxed_lp, unbounded_lp

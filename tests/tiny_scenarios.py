@@ -1,7 +1,7 @@
 """Very small random scenarios for brute-force cross-checks.
 
 Kept to one active device and a 2-3 step horizon so the exhaustive search in
-coopgrid.bruteforce stays cheap.  The grid limit is sized generously, which
+bruteforce.py stays cheap.  The grid limit is sized generously, which
 keeps every draw feasible.
 """
 
