@@ -6,7 +6,7 @@ The package splits into three layers:
   but always-valid instances);
 - solvers: `centralized` (exact LP oracle on top of `lp`), `codes` (the
   distributed primal-dual scheme over the communication graph), `selfish`
-  (per-agent stand-alone optima);
+  (each user's stand-alone optimum);
 - settlement: `allocation` (equal-savings bargaining split, centralized or
   by consensus via `graph`).
 
@@ -43,7 +43,7 @@ from .scenario import (
     load_scenario,
     scenario_digest,
 )
-from .selfish import disagreement_point, selfish_solutions
+from .selfish import disagreement_point
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "run_codes",
     "run_consensus",
     "scenario_digest",
-    "selfish_solutions",
     "solve_lp",
     "solve_social",
     "stored_energy",

@@ -12,8 +12,10 @@ are data.  With net(t) the summed demand minus renewables,
           -charge_max_i <= P_desd_i(t) <= discharge_max_i
           emin_i <= E_i(t) <= emax_i
 
-A user's stand-alone problem (selfish.py) is the same day LP over that user
-alone.
+`solve_day` solves this day for any coalition of agents: the social optimum
+is the grand coalition, a user's stand-alone day (selfish.py) is that user
+alone.  A day with no battery needs no simplex, since the balance row fixes
+the exchange.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, solve_lp
+from .lp import LinearProgram, LpError, LpSolution, check_feasible, solve_lp
 from .scenario import Scenario
 
 BALANCE_TOL_ORACLE = 1e-8
@@ -54,71 +56,82 @@ def net_load_kw(agents) -> np.ndarray:
     return np.sum([np.subtract(a.demand_kw, a.renewable_kw) for a in agents], axis=0)
 
 
-def day_lp(tariff, p_grid_max_kw: float, dt_hours: float, net_kw: np.ndarray,
-           desds) -> LinearProgram:
-    """Day LP with columns [buy | sell | P_1..P_n | E_1..E_n], T columns each.
+def day_lp(scenario: Scenario, agents) -> LinearProgram:
+    """Day LP of the coalition `agents` behind the scenario's grid connection.
 
-    Rows are the power balance, then each device's energy link
-    E(t) - E(t-1) + dt * P(t) = 0 with e0 moved to the right of its first
-    step.  Every column is boxed; no row is an inequality.
+    Columns are [buy | sell | P_1..P_n | E_1..E_n], T columns each, with one
+    P and one E block per battery owner.  Rows are the power balance, then each
+    device's energy link E(t) - E(t-1) + dt * P(t) = 0 with e0 moved to the
+    right of its first step.  Every column is boxed; no row is an inequality.
     """
-    t, n = len(net_kw), len(desds)
+    desds = [a.desd for a in agents if a.desd is not None]
+    t, n, dt = scenario.horizon, len(desds), scenario.dt_hours
     eye = np.eye(t)
-    f = np.concatenate([np.array(tariff.buy) * dt_hours, -np.array(tariff.sell) * dt_hours,
+    f = np.concatenate([np.array(scenario.tariff.buy) * dt, -np.array(scenario.tariff.sell) * dt,
                         np.zeros(2 * n * t)])
     balance = np.hstack([eye, -eye, np.tile(eye, n), np.zeros((t, n * t))])
-    link = np.hstack([np.zeros((n * t, 2 * t)), np.kron(np.eye(n), dt_hours * eye),
+    link = np.hstack([np.zeros((n * t, 2 * t)), np.kron(np.eye(n), dt * eye),
                       np.kron(np.eye(n), eye - np.eye(t, k=-1))])
     e0 = np.zeros((n, t))
     e0[:, 0] = [d.e0_kwh for d in desds]
     box = np.array([(-d.p_charge_max_kw, d.p_discharge_max_kw, d.emin_kwh, d.emax_kwh)
                     for d in desds]).reshape(-1, 4)
     lower = np.concatenate([np.zeros(2 * t), np.repeat(box[:, 0], t), np.repeat(box[:, 2], t)])
-    upper = np.concatenate([np.full(2 * t, p_grid_max_kw), np.repeat(box[:, 1], t),
+    upper = np.concatenate([np.full(2 * t, scenario.p_grid_max_kw), np.repeat(box[:, 1], t),
                             np.repeat(box[:, 3], t)])
     return LinearProgram(f, a_eq=np.vstack([balance, link]),
-                         b_eq=np.concatenate([net_kw, e0.ravel()]), lower=lower, upper=upper)
+                         b_eq=np.concatenate([net_load_kw(agents), e0.ravel()]),
+                         lower=lower, upper=upper)
 
 
 def build_social_lp(scenario: Scenario) -> LinearProgram:
-    return day_lp(scenario.tariff, scenario.p_grid_max_kw, scenario.dt_hours,
-                  net_load_kw(scenario.agents), [a.desd for a in scenario.active_users])
+    return day_lp(scenario, scenario.agents)
 
 
-def solve_day_lp(lp: LinearProgram, horizon: int,
-                 diagnose) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Solve a `day_lp`; return netted buy and sell, the (n, T) dispatch and the cost.
+def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSchedule, float]:
+    """Optimal day of the coalition `agents` from its `day_lp`: netted schedule and cost.
 
-    An infeasible day raises InfeasibleScenarioError with the message
-    `diagnose()` gives.
+    Dispatch is keyed by battery owner.  With no battery the balance row fixes
+    the exchange and no simplex runs.  Infeasible days raise InfeasibleScenarioError.
     """
-    sol = solve_lp(lp)
+    t = scenario.horizon
+    if lp.n_vars == 2 * t:
+        x = np.concatenate([np.maximum(lp.b_eq, 0.0), np.maximum(-lp.b_eq, 0.0)])
+        sol = LpSolution("infeasible" if check_feasible(lp, x) else "optimal", x, float(lp.f @ x))
+    else:
+        sol = solve_lp(lp)
     if sol.status == "infeasible":
-        raise InfeasibleScenarioError(diagnose())
+        raise InfeasibleScenarioError(_diagnose_infeasibility(scenario, agents))
     if sol.status != "optimal":
         raise LpError(f"day LP cannot be {sol.status}: all variables are boxed")
-    rows = sol.x.reshape(-1, horizon)   # buy, sell, n dispatch rows, n energy rows
+    rows = sol.x.reshape(-1, t)   # buy, sell, n dispatch rows, n energy rows
     buy, sell = net_exchange(rows[0], rows[1])
     cost = float(sol.objective_value)
-    recomputed = lp.f[:horizon] @ buy + lp.f[horizon:2 * horizon] @ sell
+    recomputed = lp.f[:t] @ buy + lp.f[t:2 * t] @ sell
     if abs(recomputed - cost) > 1e-9 * (1.0 + abs(cost)):
         raise LpError(f"netting changed the cost: {recomputed} vs {cost}; "
                       "optimal plans never buy and sell in the same step")
-    return buy, sell, rows[2:1 + len(rows) // 2].copy(), cost
+    owners = [a.id for a in agents if a.desd is not None]
+    dispatch = dict(zip(owners, rows[2:2 + len(owners)].copy()))
+    return PowerSchedule(buy, sell, dispatch, scenario.dt_hours), cost
 
 
-def _diagnose_infeasibility(scenario: Scenario) -> str:
-    base_net = net_load_kw(scenario.agents)
-    discharge = sum(a.desd.p_discharge_max_kw for a in scenario.active_users)
-    charge = sum(a.desd.p_charge_max_kw for a in scenario.active_users)
+def _diagnose_infeasibility(scenario: Scenario, agents) -> str:
+    """The first step `agents` cannot balance, naming the coalition unless it is every agent."""
+    who = ("" if len(agents) == len(scenario.agents)
+           else f"agent {', '.join(str(a.id) for a in agents)} alone, ")
+    base_net = net_load_kw(agents)
+    desds = [a.desd for a in agents if a.desd is not None]
+    discharge = sum(d.p_discharge_max_kw for d in desds)
+    charge = sum(d.p_charge_max_kw for d in desds)
     for t in range(scenario.horizon):
         if base_net[t] - discharge > scenario.p_grid_max_kw:
-            return (f"step {t}: net demand {base_net[t]:.3f} kW exceeds the grid limit "
+            return (f"{who}step {t}: net demand {base_net[t]:.3f} kW exceeds the grid limit "
                     f"{scenario.p_grid_max_kw} kW even at full discharge")
         if base_net[t] + charge < -scenario.p_grid_max_kw:
-            return (f"step {t}: renewable surplus {-base_net[t]:.3f} kW exceeds the grid "
+            return (f"{who}step {t}: renewable surplus {-base_net[t]:.3f} kW exceeds the grid "
                     f"limit {scenario.p_grid_max_kw} kW even at full charge")
-    return "no single step is infeasible on its own; stored-energy coupling binds"
+    return f"{who}no single step is infeasible on its own; stored-energy coupling binds"
 
 
 def net_exchange(buy: np.ndarray, sell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,15 +154,7 @@ def stored_energy(desd, p_desd_kw: np.ndarray, dt_hours: float) -> np.ndarray:
 
 def solve_social(scenario: Scenario) -> tuple[PowerSchedule, float]:
     """Exact social optimum.  Raises InfeasibleScenarioError with a diagnosis."""
-    buy, sell, dispatch, j = solve_day_lp(build_social_lp(scenario), scenario.horizon,
-                                          lambda: _diagnose_infeasibility(scenario))
-    schedule = PowerSchedule(
-        grid_buy_kw=buy,
-        grid_sell_kw=sell,
-        desd_power_kw={a.id: p for a, p in zip(scenario.active_users, dispatch)},
-        dt_hours=scenario.dt_hours,
-    )
-    return schedule, j
+    return solve_day(scenario, scenario.agents, build_social_lp(scenario))
 
 
 def check_schedule(scenario: Scenario, schedule: PowerSchedule,

@@ -113,6 +113,7 @@ def validate_scenario(sc: Scenario) -> None:
     _require(list(ids) == sorted(ids), "agents must be sorted by id")
     grids = [a for a in sc.agents if a.role == ROLE_GRID]
     _require(len(grids) == 1, f"exactly one grid agent required, found {len(grids)}")
+    _require(len(sc.agents) > 1, "at least one user besides the grid agent is required")
     for a in sc.agents:
         where = f"agent {a.id}"
         _require(a.role in _ROLES, f"{where}: unknown role {a.role!r}")

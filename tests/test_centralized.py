@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import brute_force_schedule
+from coopgrid import centralized
 from coopgrid.centralized import (
     InfeasibleScenarioError,
     build_social_lp,
@@ -116,6 +117,20 @@ def test_stored_energy_trajectory():
                     p_charge_max_kw=4.0, p_discharge_max_kw=4.0)
     e = stored_energy(desd, np.array([2.0, -3.0, 1.0]), dt_hours=0.5)
     assert np.allclose(e, [4.0, 5.5, 5.0])
+
+
+def test_battery_free_day_runs_no_simplex(monkeypatch):
+    sc = passive_only_scenario([1.0, 0.0, 2.5], [0.1, 0.3, 0.2], [0.05, 0.1, 0.1])
+    lp = build_social_lp(sc)
+    sol = solve_lp(lp)
+
+    def no_simplex(lp):
+        raise AssertionError("a day without a battery needs no simplex")
+    monkeypatch.setattr(centralized, "solve_lp", no_simplex)
+    schedule, j = solve_social(sc)
+    assert j == sol.objective_value
+    assert schedule.grid_buy_kw.tolist() == sol.x[:3].tolist() == [1.0, 0.0, 2.5]
+    assert schedule.desd_power_kw == {}
 
 
 def test_infeasible_demand_reports_binding_step():

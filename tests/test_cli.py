@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coopgrid.cli as cli
+from coopgrid.centralized import schedule_cost
 from coopgrid.cli import main
 from coopgrid.lp import LpCycleError
 from coopgrid.scenario import dump_scenario, load_scenario, scenario_digest
@@ -185,6 +186,41 @@ def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path,
     assert code == 4
     assert "100000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_only_scenario_is_rejected_before_allocating(fixtures_dir, tmp_path, capsys):
+    # with no user there is nothing to split: epsilon would be 0 / 0
+    data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())
+    data["agents"] = [a for a in data["agents"] if a["role"] == "grid"]
+    data["graph"]["edges"] = []
+    path = tmp_path / "grid_only.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main(["allocate", "--distributed", "--scenario", str(path), "--out-dir", str(out)])
+    assert code == 2
+    assert "at least one user" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_allocate_with_codes_social_cost(fixtures_dir, tmp_path, monkeypatch):
+    real_run_codes, runs = cli.run_codes, []
+
+    def recording_run_codes(sc):
+        runs.append(real_run_codes(sc))
+        return runs[-1]
+    monkeypatch.setattr(cli, "run_codes", recording_run_codes)
+    code = main(["allocate", "--social-method", "codes", "--scenario",
+                 arbitrage_path(fixtures_dir), "--out-dir", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["social_method"] == "codes"
+    (result,) = runs
+    sc = load_scenario(arbitrage_path(fixtures_dir))
+    assert report["j"] == result.j == schedule_cost(result.schedule, sc.tariff)
+    # the codes run balances to 1e-3 kW, so J meets the 0.5 % contract, not the optimum
+    assert abs(report["j"] - (-1.4)) <= 0.005 * 1.4
+    allocated = [float(r["J_alloc"]) for r in read_csv(tmp_path / "costs.csv")]
+    assert abs(sum(allocated) - report["j"]) <= 1e-9
 
 
 def test_allocate_failed_bargaining_exit_code(fixtures_dir, tmp_path, monkeypatch):

@@ -49,9 +49,13 @@ def close(value, ref, rel=1e-7):
     return abs(value - ref) <= rel * abs(ref)
 
 
-@pytest.mark.parametrize("users,horizon", [(10, 24), (20, 24), (10, 48), (10, 96)])
-def test_ladder_day_matches_highs(users, horizon):
-    sc = gen_scenario(GenSpec(users=(users, users), active=(users // 2, users // 2),
+@pytest.mark.parametrize(
+    "users,horizon,active",
+    [pytest.param(u, t, u // 2, id=f"{u}-{t}") for u, t in [(10, 24), (20, 24), (10, 48), (10, 96)]]
+    # no battery anywhere: the social day and every D_i skip the simplex
+    + [pytest.param(10, 24, 0, id="10-24-no-battery")])
+def test_ladder_day_matches_highs(users, horizon, active):
+    sc = gen_scenario(GenSpec(users=(users, users), active=(active, active),
                               horizon=(horizon, horizon), graph="ring"), seed=1)
     _, j = solve_social(sc)
     j_ref = cumulative_sum_day_cost(sc.agents, sc.tariff, sc.p_grid_max_kw, sc.dt_hours)

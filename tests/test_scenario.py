@@ -114,6 +114,7 @@ def test_format_errors_name_the_field(mutate, needle):
     (lambda d: d.update(p_grid_max_kw=0.0), "p_grid_max_kw"),
     (lambda d: d["graph"].update(edges=[[1, 2]]), "graph"),
     (lambda d: d["graph"].update(edges=[[1, 2], [2, 3], [1, 4]]), "graph"),
+    (lambda d: d.update(agents=d["agents"][2:], graph={"edges": []}), "at least one user"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     d = base_dict()
