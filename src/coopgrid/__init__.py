@@ -28,7 +28,7 @@ from .centralized import (
     solve_social,
     stored_energy,
 )
-from .codes import CodesConfig, CodesResult, ConvergenceTrace, run_codes
+from .codes import CodesConfig, CodesResult, run_codes
 from .generate import GenSpec, gen_scenario
 from .graph import CommGraph, GraphError, metropolis_weights, run_consensus
 from .lp import LinearProgram, LpSolution, solve_lp
@@ -53,7 +53,6 @@ __all__ = [
     "CodesConfig",
     "CodesResult",
     "CommGraph",
-    "ConvergenceTrace",
     "CostReport",
     "DesdSpec",
     "GenSpec",

@@ -120,10 +120,10 @@ def consumption_costs(scenario: Scenario, schedule: PowerSchedule) -> tuple[np.n
     bills = []
     for a in scenario.users:
         g = np.array(a.demand_kw) - np.array(a.renewable_kw)
-        if a.role != ROLE_GRID and a.id in schedule.desd_power_kw:
+        if a.id in schedule.desd_power_kw:
             g = g - schedule.desd_power_kw[a.id]
         bills.append(float(np.sum(dt * (buy * np.maximum(g, 0.0)
                                         - sell * np.maximum(-g, 0.0)))))
     bills = np.array(bills)
-    residual = float(bills.sum() - schedule_cost(schedule, scenario.tariff))
+    residual = float(bills.sum() - schedule_cost(scenario, schedule))
     return bills, residual

@@ -15,7 +15,8 @@ are data.  With net(t) the summed demand minus renewables,
 `solve_day` solves this day for any coalition of agents: the social optimum
 is the grand coalition, a user's stand-alone day (selfish.py) is that user
 alone.  A day with no battery needs no simplex, since the balance row fixes
-the exchange.
+the exchange.  Whatever schedule a solver returns, `schedule_cost` is the one
+function that prices it.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ class InfeasibleScenarioError(RuntimeError):
 
 @dataclass
 class PowerSchedule:
-    """Cleared day-ahead plan: grid exchange plus one dispatch row per device."""
+    """Cleared day-ahead plan: grid exchange plus one dispatch row per device.
+    It has no step width: whatever prices or integrates it takes dt from the scenario."""
 
     grid_buy_kw: np.ndarray               # (T,), >= 0
     grid_sell_kw: np.ndarray              # (T,), >= 0
     desd_power_kw: dict[int, np.ndarray]  # agent id -> (T,), positive = discharge
-    dt_hours: float
 
     @property
     def horizon(self) -> int:
@@ -105,15 +106,15 @@ def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSched
     if sol.status != "optimal":
         raise LpError(f"day LP cannot be {sol.status}: all variables are boxed")
     rows = sol.x.reshape(-1, t)   # buy, sell, n dispatch rows, n energy rows
-    buy, sell = net_exchange(rows[0], rows[1])
+    owners = [a.id for a in agents if a.desd is not None]
+    schedule = PowerSchedule(*net_exchange(rows[0], rows[1]),
+                             dict(zip(owners, rows[2:2 + len(owners)].copy())))
     cost = float(sol.objective_value)
-    recomputed = lp.f[:t] @ buy + lp.f[t:2 * t] @ sell
+    recomputed = schedule_cost(scenario, schedule)
     if abs(recomputed - cost) > 1e-9 * (1.0 + abs(cost)):
         raise LpError(f"netting changed the cost: {recomputed} vs {cost}; "
                       "optimal plans never buy and sell in the same step")
-    owners = [a.id for a in agents if a.desd is not None]
-    dispatch = dict(zip(owners, rows[2:2 + len(owners)].copy()))
-    return PowerSchedule(buy, sell, dispatch, scenario.dt_hours), cost
+    return schedule, cost
 
 
 def _diagnose_infeasibility(scenario: Scenario, agents) -> str:
@@ -140,11 +141,12 @@ def net_exchange(buy: np.ndarray, sell: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
 
-def schedule_cost(schedule: PowerSchedule, tariff) -> float:
-    buy = np.array(tariff.buy)
-    sell = np.array(tariff.sell)
+def schedule_cost(scenario: Scenario, schedule: PowerSchedule) -> float:
+    """What the schedule's grid exchange costs at the scenario's tariff: the one pricer."""
+    buy = np.array(scenario.tariff.buy)
+    sell = np.array(scenario.tariff.sell)
     return float(np.sum((buy * schedule.grid_buy_kw - sell * schedule.grid_sell_kw)
-                        * schedule.dt_hours))
+                        * scenario.dt_hours))
 
 
 def stored_energy(desd, p_desd_kw: np.ndarray, dt_hours: float) -> np.ndarray:
@@ -165,8 +167,6 @@ def check_schedule(scenario: Scenario, schedule: PowerSchedule,
     faults = []
     if schedule.horizon != t or schedule.grid_sell_kw.size != t:
         return [f"schedule spans {schedule.horizon} steps, scenario has {t}"]
-    if abs(schedule.dt_hours - scenario.dt_hours) > 1e-12:
-        faults.append(f"dt mismatch: {schedule.dt_hours} vs {scenario.dt_hours}")
     for name, arr in (("grid_buy_kw", schedule.grid_buy_kw),
                       ("grid_sell_kw", schedule.grid_sell_kw)):
         if arr.min(initial=0.0) < -box_tol:
@@ -225,12 +225,12 @@ def schedule_csv_text(scenario: Scenario, schedule: PowerSchedule) -> str:
     header = ["t", "P_G_buy_kw", "P_G_sell_kw"]
     header += [f"P_B_{a.id}_kw" for a in users] + [f"E_{a.id}_kwh" for a in users]
     power = [schedule.desd_power_kw[a.id] for a in users]
-    energy = [stored_energy(a.desd, p, schedule.dt_hours) for a, p in zip(users, power)]
+    energy = [stored_energy(a.desd, p, scenario.dt_hours) for a, p in zip(users, power)]
     table = np.column_stack([schedule.grid_buy_kw, schedule.grid_sell_kw, *power, *energy])
     return csv_text(header, ([t, *row] for t, row in enumerate(table.tolist())))
 
 
-def read_schedule_csv(path: str | Path, dt_hours: float) -> PowerSchedule:
+def read_schedule_csv(path: str | Path) -> PowerSchedule:
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -241,5 +241,4 @@ def read_schedule_csv(path: str | Path, dt_hours: float) -> PowerSchedule:
         grid_buy_kw=np.array([float(r["P_G_buy_kw"]) for r in rows]),
         grid_sell_kw=np.array([float(r["P_G_sell_kw"]) for r in rows]),
         desd_power_kw={i: np.array([float(r[f"P_B_{i}_kw"]) for r in rows]) for i in ids},
-        dt_hours=dt_hours,
     )

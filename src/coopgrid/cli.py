@@ -93,11 +93,14 @@ def write_run(args, sc: Scenario, command: str, started: float, files: dict[str,
     write_atomic(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
 
 
-def _load(path_str: str) -> Scenario:
-    path = Path(path_str)
-    if not path.is_file():
-        raise ScenarioValidationError(f"scenario file not found: {path}")
-    return load_scenario(path)
+def _check_out(path: Path) -> None:
+    """Refuse, before any work, a file path that cannot be written: it must
+    not be a directory, and its nearest existing ancestor must be one."""
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    ancestor = next((p for p in path.parents if p.exists()), path.parent)
+    if not ancestor.is_dir():
+        raise ValueError(f"cannot write {path}: {ancestor} is not a directory")
 
 
 def _solve_oracle(sc: Scenario):
@@ -110,12 +113,14 @@ def _solve_codes(sc: Scenario, config: CodesConfig):
     """A distributed run and its schedule and trace CSVs."""
     result = run_codes(sc, config)
     return result, {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
-                    "trace_codes.csv": csv_text(TRACE_FIELDS, result.trace.rows())}
+                    "trace_codes.csv": csv_text(TRACE_FIELDS, (
+                        [k, *row] for k, row in enumerate(result.trace.tolist())))}
 
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    sc = _load(args.scenario)
+    _check_out(Path(args.out_dir) / "report.json")
+    sc = load_scenario(args.scenario)
     if args.codes:
         config = CodesConfig.from_scenario(sc)
         result, files = _solve_codes(sc, config)
@@ -145,7 +150,8 @@ def _check_tolerance(flag: str, value: float, zero_ok: bool = False) -> None:
 def cmd_allocate(args) -> int:
     started = time.perf_counter()
     _check_tolerance("--graph-tol", args.graph_tol)
-    sc = _load(args.scenario)
+    _check_out(Path(args.out_dir) / "report.json")
+    sc = load_scenario(args.scenario)
     selfish = disagreement_point(sc)
     convergence_ok = True
     if args.social_method == "codes":
@@ -187,7 +193,8 @@ def cmd_allocate(args) -> int:
 def cmd_compare(args) -> int:
     started = time.perf_counter()
     _check_tolerance("--tol", args.tol, zero_ok=True)   # 0 demands an exact match
-    sc = _load(args.scenario)
+    _check_out(Path(args.out_dir) / "report.json")
+    sc = load_scenario(args.scenario)
     oracle_schedule, j_oracle, files = _solve_oracle(sc)
     config = CodesConfig.from_scenario(sc)
     result, codes_files = _solve_codes(sc, config)
@@ -219,26 +226,29 @@ def cmd_compare(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    sc = _load(args.scenario)
+    out = Path(args.out_dir) / "weights.csv"
+    _check_out(out)
+    sc = load_scenario(args.scenario)
     ids = sc.graph.node_ids
     text = csv_text(["node", *ids], ([i, *w] for i, w in zip(ids, sc.graph.weights.tolist())))
-    write_atomic(Path(args.out_dir) / "weights.csv", text)
+    write_atomic(out, text)
     print(text, end="")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    sc = _load(args.scenario)
+    sc = load_scenario(args.scenario)
     CodesConfig.from_scenario(sc)   # the same solver settings check as solve --codes
     print(f"OK {scenario_digest(sc)}")
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
+    out = Path(args.out) if args.out else Path(args.out_dir) / f"scenario_{args.seed}.json"
+    _check_out(out)
     spec = GenSpec(users=tuple(args.users), active=tuple(args.active),
                    horizon=tuple(args.horizon), graph=args.graph)
     sc = gen_scenario(spec, args.seed)
-    out = Path(args.out) if args.out else Path(args.out_dir) / f"scenario_{args.seed}.json"
     write_atomic(out, dump_scenario(sc))
     print(f"wrote {out} ({sc.n_users} users, T={sc.horizon}, digest {scenario_digest(sc)})")
     return EXIT_OK

@@ -20,7 +20,7 @@ the system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,35 +140,21 @@ class CodesState:
 
 
 @dataclass
-class ConvergenceTrace:
-    j_est: list[float] = field(default_factory=list)
-    max_imbalance_kw: list[float] = field(default_factory=list)
-    consensus_disagreement: list[float] = field(default_factory=list)
-    primal_step_norm: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.j_est)
-
-    def rows(self):
-        for k in range(len(self)):
-            yield (k, self.j_est[k], self.max_imbalance_kw[k],
-                   self.consensus_disagreement[k], self.primal_step_norm[k])
-
-
-@dataclass
 class CodesResult:
     schedule: PowerSchedule
     j: float
     iterations: int
     converged: bool
-    trace: ConvergenceTrace
+    trace: np.recarray
 
 
 def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesResult:
     """Iterate the distributed scheme until balance and primal rest, or give up.
 
     Never raises on non-convergence: the partial schedule and the full trace
-    come back with converged=False so the caller can diagnose.
+    come back with converged=False so the caller can diagnose.  The trace is a
+    record array, one row per round, of four fields: the round's grid bill,
+    largest imbalance, imbalance-estimate disagreement and primal step.
     """
     if config is None:
         config = CodesConfig.from_scenario(scenario)
@@ -186,11 +172,12 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         converged = bool(max_imbalance < config.tol_balance_kw and step_norm < config.tol_step)
         if converged:
             break
-    trace = ConvergenceTrace(*rows[:k + 1].T.tolist())
+    trace = np.rec.fromarrays(rows[:k + 1].T, names=(
+        "j_est", "max_imbalance_kw", "consensus_disagreement", "primal_step_norm"))
 
     buy, sell = net_exchange(state.p_buy, state.p_sell)
     schedule = PowerSchedule(
-        grid_buy_kw=buy, grid_sell_kw=sell, dt_hours=scenario.dt_hours,
+        grid_buy_kw=buy, grid_sell_kw=sell,
         desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, state.p_desd)})
-    return CodesResult(schedule=schedule, j=schedule_cost(schedule, scenario.tariff),
+    return CodesResult(schedule=schedule, j=schedule_cost(scenario, schedule),
                        iterations=len(trace), converged=converged, trace=trace)

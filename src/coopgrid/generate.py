@@ -29,18 +29,12 @@ GRAPH_FAMILIES = ("path", "ring", "star", "complete", "random")
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Ranges the generator draws from; every range is inclusive."""
+    """Sizes the generator draws from, every range inclusive, and the graph family.
+    Prices, loads and batteries come from fixed ranges; every step is one hour."""
 
     users: tuple[int, int] = (2, 5)            # non-grid agents
     active: tuple[int, int] = (0, 3)           # of which carry storage
     horizon: tuple[int, int] = (4, 24)
-    dt_hours: float = 1.0
-    demand_peak_kw: tuple[float, float] = (0.5, 3.0)
-    renewable_peak_kw: tuple[float, float] = (0.0, 2.5)
-    desd_capacity_kwh: tuple[float, float] = (2.0, 10.0)
-    base_price: tuple[float, float] = (0.06, 0.25)
-    peak_multiplier: tuple[float, float] = (1.5, 3.0)
-    sell_ratio: tuple[float, float] = (0.5, 0.95)
     graph: str = "random"                      # one of GRAPH_FAMILIES
 
     def __post_init__(self):
@@ -76,11 +70,11 @@ def _edges(family: str, ids: list[int], rng: np.random.Generator) -> list[tuple[
     return sorted(edges)
 
 
-def _tariff(spec: GenSpec, t: int, rng: np.random.Generator) -> Tariff:
-    base = rng.uniform(*spec.base_price)
-    mult = rng.uniform(*spec.peak_multiplier)
+def _tariff(t: int, rng: np.random.Generator) -> Tariff:
+    base = rng.uniform(0.06, 0.25)
+    mult = rng.uniform(1.5, 3.0)
     buy = base * (1.0 + (mult - 1.0) * rng.uniform(0.0, 1.0, t))
-    sell = rng.uniform(*spec.sell_ratio) * buy
+    sell = rng.uniform(0.5, 0.95) * buy
     return Tariff(buy=tuple(buy.tolist()), sell=tuple(sell.tolist()))
 
 
@@ -96,12 +90,12 @@ def gen_scenario(spec: GenSpec, seed: int) -> Scenario:
     n_active = min(n_active, r)
     t = int(rng.integers(spec.horizon[0], spec.horizon[1] + 1))
 
-    tariff = _tariff(spec, t, rng)
+    tariff = _tariff(t, rng)
     agents = []
     for k in range(r):
-        demand = _series(rng.uniform(*spec.demand_peak_kw), t, rng)
+        demand = _series(rng.uniform(0.5, 3.0), t, rng)   # peak demand, kW
         if k < n_active:
-            cap = rng.uniform(*spec.desd_capacity_kwh)
+            cap = rng.uniform(2.0, 10.0)                  # storage capacity, kWh
             emin = cap * rng.uniform(0.0, 0.3)
             e0 = rng.uniform(emin, cap)
             rate = cap * rng.uniform(0.25, 0.5)
@@ -109,7 +103,7 @@ def gen_scenario(spec: GenSpec, seed: int) -> Scenario:
                             p_charge_max_kw=rate, p_discharge_max_kw=rate)
             agents.append(AgentSpec(
                 id=k + 1, role=ROLE_ACTIVE, demand_kw=demand,
-                renewable_kw=_series(rng.uniform(*spec.renewable_peak_kw), t, rng),
+                renewable_kw=_series(rng.uniform(0.0, 2.5), t, rng),   # peak, kW
                 desd=desd))
         else:
             agents.append(AgentSpec(id=k + 1, role=ROLE_PASSIVE, demand_kw=demand,
@@ -125,7 +119,7 @@ def gen_scenario(spec: GenSpec, seed: int) -> Scenario:
     p_grid_max = 1.5 * (max(peak_demand, peak_renew) + rates) + 1.0
 
     ids = [a.id for a in agents]
-    sc = Scenario(horizon=t, dt_hours=spec.dt_hours, p_grid_max_kw=p_grid_max,
+    sc = Scenario(horizon=t, dt_hours=1.0, p_grid_max_kw=p_grid_max,
                   tariff=tariff, agents=tuple(agents),
                   graph=metropolis_weights(ids, _edges(spec.graph, ids, rng)))
     validate_scenario(sc)

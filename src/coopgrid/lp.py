@@ -141,7 +141,6 @@ class _StandardForm:
     col_var: np.ndarray       # originating variable of each y column
     col_sign: np.ndarray
     offsets: np.ndarray       # per original variable
-    n_slack: int
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
@@ -187,7 +186,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     cost = np.zeros(n_cols + m_ub)
     cost[:n_cols] = lp.f[var] * sign
     upper = np.concatenate([col_upper, np.full(m_ub, np.inf)])
-    return _StandardForm(a, b, cost, upper, var, sign, offsets, m_ub)
+    return _StandardForm(a, b, cost, upper, var, sign, offsets)
 
 
 # --- tableau simplex ----------------------------------------------------------
@@ -274,28 +273,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution("infeasible", None, None)
     a, b = sf.a, sf.b
     m, n_real = a.shape
-    n_cols = n_real - sf.n_slack
 
-    # slacks with +1 coefficient and b >= 0 can seed the basis; other rows
-    # get an artificial variable, which has a basis index but no column
-    basis = np.full(m, -1)
-    slack_rows, slacks = np.arange(m - sf.n_slack, m), np.arange(n_cols, n_real)
-    seed = a[slack_rows, slacks] == 1.0
-    basis[slack_rows[seed]] = slacks[seed]
-    need_art = np.flatnonzero(basis == -1)
-    n_art = need_art.size
+    # every row starts on an artificial variable, which has a basis index but
+    # no column
+    basis = n_real + np.arange(m)
     tab = np.zeros((m + 1, n_real + 1))
     tab[:m, :n_real] = a
     tab[:m, -1] = b
-    basis[need_art] = n_real + np.arange(n_art)
-    upper = np.concatenate([sf.upper, np.full(n_art, np.inf)])
+    upper = np.concatenate([sf.upper, np.full(m, np.inf)])
     flipped = np.zeros(n_real, dtype=bool)
 
     # phase 1: minimise the artificial sum
     pivots = 0
-    if n_art:
-        tab[-1] -= tab[need_art].sum(axis=0)
-        status, pivots = _simplex_iterate(tab, basis, upper, flipped, n_art=n_art)
+    if m:
+        tab[-1] -= tab[:m].sum(axis=0)
+        status, pivots = _simplex_iterate(tab, basis, upper, flipped, n_art=m)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
         if -tab[-1, -1] > FEAS_TOL:
@@ -329,7 +321,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     y[basis] = tab[:m, -1]
     y[flipped] = sf.upper[flipped] - y[flipped]
     x = sf.offsets.copy()
-    np.add.at(x, sf.col_var, np.multiply(sf.col_sign, y[:n_cols]))
+    np.add.at(x, sf.col_var, np.multiply(sf.col_sign, y[:sf.col_var.size]))
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))

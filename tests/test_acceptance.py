@@ -206,11 +206,11 @@ def test_08_every_emitted_schedule_file_is_feasible(fixtures_dir, tmp_path):
         code = main(["solve", "--centralized", "--scenario",
                      str(fixtures_dir / fixture), "--out-dir", str(out)])
         assert code == 0
-        schedule = read_schedule_csv(out / "schedule_centralized.csv", sc.dt_hours)
+        schedule = read_schedule_csv(out / "schedule_centralized.csv")
         assert check_schedule(sc, schedule, balance_tol_kw=1e-8, box_tol=1e-6) == []
 
         code = main(["solve", "--codes", "--scenario",
                      str(fixtures_dir / fixture), "--out-dir", str(out)])
         assert code in (0, 4)   # the iteration cap is allowed, silence is not
-        schedule = read_schedule_csv(out / "schedule_codes.csv", sc.dt_hours)
+        schedule = read_schedule_csv(out / "schedule_codes.csv")
         assert check_schedule(sc, schedule, balance_tol_kw=1e-3, box_tol=1e-3) == []

@@ -82,7 +82,7 @@ def test_oracle_schedules_validate_cleanly():
         sc = tiny_scenario(rng)
         schedule, j = solve_social(sc)
         assert check_schedule(sc, schedule) == []
-        assert abs(schedule_cost(schedule, sc.tariff) - j) <= 1e-9 * (1 + abs(j))
+        assert abs(schedule_cost(sc, schedule) - j) <= 1e-9 * (1 + abs(j))
 
 
 def test_social_lp_is_state_variable_form():
@@ -206,7 +206,7 @@ def test_schedule_csv_round_trip(tmp_path, fixtures_dir):
     schedule, _ = solve_social(sc)
     path = tmp_path / "schedule.csv"
     path.write_text(schedule_csv_text(sc, schedule), newline="")
-    again = read_schedule_csv(path, sc.dt_hours)
+    again = read_schedule_csv(path)
     assert np.array_equal(again.grid_buy_kw, schedule.grid_buy_kw)
     assert np.array_equal(again.grid_sell_kw, schedule.grid_sell_kw)
     assert np.array_equal(again.desd_power_kw[1], schedule.desd_power_kw[1])

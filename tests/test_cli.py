@@ -99,6 +99,29 @@ def test_missing_scenario_leaves_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, target", [
+    ("solve", "--out-dir", "taken"),          # an existing file
+    ("weights", "--out-dir", "taken/sub"),    # below an existing file
+    ("gen", "--out", "folder"),               # an existing directory
+    ("compare", "--out-dir", "taken"),
+])
+def test_unwritable_output_path_fails_before_any_work(fixtures_dir, tmp_path, capsys,
+                                                      monkeypatch, command, flag, target):
+    def never(*args):
+        raise AssertionError("the solver ran before the output path was checked")
+    monkeypatch.setattr(cli, "run_codes", never)
+    (tmp_path / "taken").write_text("keep me")
+    (tmp_path / "folder").mkdir()
+    argv = [command, flag, str(tmp_path / target)]
+    if command != "gen":
+        argv += ["--scenario", arbitrage_path(fixtures_dir)]
+    assert main(argv) == 2
+    assert str(tmp_path / target) in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
+    assert not any((tmp_path / "folder").iterdir())
+
+
 def test_solve_centralized_writes_schedule_and_report(fixtures_dir, tmp_path):
     code = main(["solve", "--centralized", "--scenario", arbitrage_path(fixtures_dir),
                  "--out-dir", str(tmp_path)])
@@ -216,7 +239,7 @@ def test_allocate_with_codes_social_cost(fixtures_dir, tmp_path, monkeypatch):
     assert report["social_method"] == "codes"
     (result,) = runs
     sc = load_scenario(arbitrage_path(fixtures_dir))
-    assert report["j"] == result.j == schedule_cost(result.schedule, sc.tariff)
+    assert report["j"] == result.j == schedule_cost(sc, result.schedule)
     # the codes run balances to 1e-3 kW, so J meets the 0.5 % contract, not the optimum
     assert abs(report["j"] - (-1.4)) <= 0.005 * 1.4
     allocated = [float(r["J_alloc"]) for r in read_csv(tmp_path / "costs.csv")]
