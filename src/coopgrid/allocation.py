@@ -33,7 +33,6 @@ class BargainingError(RuntimeError):
 @dataclass
 class CostReport:
     agent_ids: tuple[int, ...]          # users in id order
-    j_social: float
     selfish: np.ndarray                 # D_i
     allocated: np.ndarray               # J_i
     epsilon: float                      # per-user saving D_i - J_i
@@ -51,33 +50,30 @@ def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
     return selfish_costs
 
 
-def _report(scenario: Scenario, j_social: float, selfish: np.ndarray, allocated: np.ndarray,
-            epsilon: float, method: str, rounds: int,
-            schedule: PowerSchedule | None) -> CostReport:
-    report = CostReport(agent_ids=tuple(a.id for a in scenario.users), j_social=j_social,
-                        selfish=selfish, allocated=allocated, epsilon=float(epsilon),
-                        method=method, rounds=rounds)
+def _report(scenario: Scenario, selfish: np.ndarray, allocated: np.ndarray, epsilon: float,
+            method: str, rounds: int, schedule: PowerSchedule | None) -> CostReport:
+    report = CostReport(agent_ids=tuple(a.id for a in scenario.users), selfish=selfish,
+                        allocated=allocated, epsilon=float(epsilon), method=method,
+                        rounds=rounds)
     if schedule is not None:
         report.consumption, report.netting_residual = consumption_costs(scenario, schedule)
     return report
 
 
-def allocate_centralized(scenario: Scenario, j_social: float,
-                         selfish_costs: np.ndarray,
+def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray,
                          schedule: PowerSchedule | None = None) -> CostReport:
     selfish_costs = _selfish_costs(scenario, selfish_costs)
-    if selfish_costs.sum() - j_social < -1e-9 * (1.0 + abs(j_social)):
+    if selfish_costs.sum() - j < -1e-9 * (1.0 + abs(j)):
         raise BargainingError(
-            f"cooperative cost {j_social:.6f} exceeds the stand-alone total "
+            f"cooperative cost {j:.6f} exceeds the stand-alone total "
             f"{selfish_costs.sum():.6f}; there is no allocation everyone accepts")
-    epsilon = (selfish_costs.sum() - j_social) / scenario.n_users
-    return _report(scenario, j_social, selfish_costs, selfish_costs - epsilon, epsilon,
+    epsilon = (selfish_costs.sum() - j) / scenario.n_users
+    return _report(scenario, selfish_costs, selfish_costs - epsilon, epsilon,
                    "centralized", 0, schedule)
 
 
-def allocate_distributed(scenario: Scenario, j_social: float,
-                         selfish_costs: np.ndarray,
-                         tol: float = 1e-6, max_rounds: int = 100_000,
+def allocate_distributed(scenario: Scenario, j: float, selfish_costs: np.ndarray,
+                         tol: float = 1e-6,
                          schedule: PowerSchedule | None = None) -> CostReport:
     """Equal-savings split computed by averaging consensus on the scenario graph.
 
@@ -90,18 +86,17 @@ def allocate_distributed(scenario: Scenario, j_social: float,
     r = scenario.n_users
     # graph node k is scenario.agents[k]: both are in id order
     is_user = np.array([a.role != ROLE_GRID for a in scenario.agents])
-    initial = np.full(r + 1, -j_social, dtype=float)
+    initial = np.full(r + 1, -j, dtype=float)
     initial[is_user] = selfish_costs
-    state = run_consensus(initial, scenario.graph,
-                          tol=tol * r / (r + 1), max_iters=max_rounds)
+    state = run_consensus(initial, scenario.graph, tol=tol * r / (r + 1))
     # the node average is conserved, so the mean estimate carries no consensus error
     epsilon = (r + 1) / r * float(state.values.mean())
-    if epsilon < -1e-9 * (1.0 + abs(j_social)):
+    if epsilon < -1e-9 * (1.0 + abs(j)):
         raise BargainingError(
             f"consensus found negative savings ({epsilon:.6f} per user); "
             "cooperation does not pay here")
     allocated = selfish_costs - (r + 1) / r * state.values[is_user]
-    return _report(scenario, j_social, selfish_costs, allocated, epsilon, "distributed",
+    return _report(scenario, selfish_costs, allocated, epsilon, "distributed",
                    state.iteration, schedule)
 
 

@@ -177,8 +177,6 @@ def cmd_allocate(args) -> int:
               method=report.method, social_method=args.social_method, j=j,
               epsilon=report.epsilon, rounds=report.rounds,
               netting_residual=report.netting_residual,
-              cost_table=[{"agent": int(a), "D": float(d), "J_alloc": float(x),
-                           "consumption": float(c)} for a, d, x, c in rows],
               config={"graph_tol": args.graph_tol})
     print(f"{'agent':>6} {'D':>12} {'J_alloc':>12} {'consumption':>12}")
     for a, d, x, c in rows:

@@ -79,7 +79,7 @@ class CodesState:
     mu2 = property(lambda self: self.mu[1])                  # stored energy below emin
 
     def __init__(self, scenario: Scenario, config: CodesConfig):
-        agents = [scenario.agent(i) for i in scenario.graph.node_ids]
+        agents = scenario.agents   # graph.node_ids order: both are sorted by id
         grid_row = next(k for k, a in enumerate(agents) if a.role == ROLE_GRID)
         active_rows = np.flatnonzero([a.role == ROLE_ACTIVE for a in agents])
         self.active_ids = [agents[k].id for k in active_rows]

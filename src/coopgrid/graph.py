@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_CONSENSUS_ROUNDS = 100_000
+
 
 class GraphError(ValueError):
     pass
@@ -32,10 +34,6 @@ class CommGraph:
             return NotImplemented
         return (self.node_ids == other.node_ids and self.edges == other.edges
                 and np.array_equal(self.weights, other.weights))
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
 
 
 @dataclass
@@ -111,19 +109,18 @@ def consensus_round(state: ConsensusState, graph: CommGraph) -> ConsensusState:
     return ConsensusState(graph.weights @ state.values, state.iteration + 1)
 
 
-def run_consensus(initial, graph: CommGraph, tol: float = 1e-9,
-                  max_iters: int = 100_000) -> ConsensusState:
+def run_consensus(initial, graph: CommGraph, tol: float = 1e-9) -> ConsensusState:
     """Mix until every node is within tol of the average of the initial values.
 
-    The returned state reports how many rounds were used; hitting max_iters
-    without agreement raises GraphError since on a connected graph the
-    iteration provably contracts.
+    The returned state reports how many rounds were used.  The round cap is
+    fixed at MAX_CONSENSUS_ROUNDS; hitting it without agreement raises
+    GraphError since on a connected graph the iteration provably contracts.
     """
     values = np.array(initial, dtype=float)
     target = values.mean(axis=0)
     state = ConsensusState(values)
     while np.abs(state.values - target).max() > tol:
-        if state.iteration >= max_iters:
-            raise GraphError(f"consensus not within {tol} after {max_iters} rounds")
+        if state.iteration >= MAX_CONSENSUS_ROUNDS:
+            raise GraphError(f"consensus not within {tol} after {MAX_CONSENSUS_ROUNDS} rounds")
         state = consensus_round(state, graph)
     return state

@@ -7,11 +7,12 @@ Problems are stated as
          a_eq @ x == b_eq
          lower <= x <= upper
 
-All matrices are dense numpy arrays and the solver is a tableau simplex with
-no dependencies.  A pivot updates only the rows with a nonzero pivot-column
-entry, and phase 1 keeps no artificial columns.  Variable bounds never become
-rows: the ratio test keeps every column inside its box (Dantzig's
-upper-bounding technique).
+Every lower bound is finite; an upper bound may be +inf.  All matrices are
+dense numpy arrays and the solver is a tableau simplex with no dependencies.
+A pivot updates only the rows with a nonzero pivot-column entry, and phase 1
+keeps no artificial columns.  Variable bounds never become rows: each
+variable is one column shifted by its lower bound, and the ratio test keeps
+that column inside its box (Dantzig's upper-bounding technique).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class LinearProgram:
 
     Missing constraint blocks may be passed as None.  Bounds default to
     [0, +inf) per variable, matching the usual standard-form convention.
+    Every entry must be finite, except that an upper bound may be infinite.
     """
 
     f: np.ndarray
@@ -73,6 +75,11 @@ class LinearProgram:
             raise ValueError(f"a_eq has shape {self.a_eq.shape}, expected ({self.b_eq.size}, {n})")
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound vectors must have one entry per variable")
+        for name in ("f", "a_ub", "b_ub", "a_eq", "b_eq", "lower"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if np.isnan(self.upper).any():
+            raise ValueError("upper must not be NaN")
 
     @property
     def n_vars(self) -> int:
@@ -101,35 +108,27 @@ def check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> l
     """Return all constraint violations of x beyond tol (empty list = feasible).
 
     Residuals are scaled per row by max(1, max|coefficient|) so the tolerance
-    means the same thing across badly scaled rows.
+    means the same thing across badly scaled rows.  A NaN residual is a
+    violation.
     """
     x = np.asarray(x, dtype=float)
-    out = []
+    residuals = []
     if lp.a_ub.shape[0]:
         scale = np.maximum(1.0, np.abs(lp.a_ub).max(axis=1))
-        res = (lp.a_ub @ x - lp.b_ub) / scale
-        for i in np.flatnonzero(res > tol):
-            out.append(ConstraintViolation("ub", int(i), float(res[i])))
+        residuals.append(("ub", (lp.a_ub @ x - lp.b_ub) / scale))
     if lp.a_eq.shape[0]:
         scale = np.maximum(1.0, np.abs(lp.a_eq).max(axis=1))
-        res = np.abs(lp.a_eq @ x - lp.b_eq) / scale
-        for i in np.flatnonzero(res > tol):
-            out.append(ConstraintViolation("eq", int(i), float(res[i])))
-    for i in np.flatnonzero(lp.lower - x > tol):
-        out.append(ConstraintViolation("lower", int(i), float(lp.lower[i] - x[i])))
-    for i in np.flatnonzero(x - lp.upper > tol):
-        out.append(ConstraintViolation("upper", int(i), float(x[i] - lp.upper[i])))
-    return out
+        residuals.append(("eq", np.abs(lp.a_eq @ x - lp.b_eq) / scale))
+    residuals += [("lower", lp.lower - x), ("upper", x - lp.upper)]
+    return [ConstraintViolation(kind, int(i), float(res[i]))
+            for kind, res in residuals for i in np.flatnonzero(~(res <= tol))]
 
 
 # --- standard-form conversion -------------------------------------------------
 #
-# Every variable is mapped onto nonnegative columns:
-#   finite lower       -> shift   x = l + y           (one column, sign +1)
-#   only finite upper  -> flip    x = u - y           (one column, sign -1)
-#   free               -> split   x = y+ - y-         (two columns)
-# A two-sided box keeps its width as the column's upper bound y <= u - l,
-# which the ratio test enforces; it never becomes a row.
+# Every variable is one nonnegative column shifted by its lower bound,
+# x = lower + y, and keeps its width as the column's upper bound
+# y <= upper - lower, which the ratio test enforces; it never becomes a row.
 
 
 @dataclass
@@ -138,9 +137,6 @@ class _StandardForm:
     b: np.ndarray
     cost: np.ndarray          # objective over the y columns
     upper: np.ndarray         # per y column; +inf when unbounded above
-    col_var: np.ndarray       # originating variable of each y column
-    col_sign: np.ndarray
-    offsets: np.ndarray       # per original variable
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
@@ -148,30 +144,14 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     lo, hi = lp.lower, lp.upper
     if np.any(lo > hi + FEAS_TOL):
         return None
-    shift = np.isfinite(lo)
-    flip = ~shift & np.isfinite(hi)
-    free = ~shift & ~flip
-    offsets = np.where(shift, lo, np.where(flip, hi, 0.0))
-    width = np.full(lp.n_vars, np.inf)
-    width[shift] = np.maximum(hi[shift] - lo[shift], 0.0)
-    # a free variable's two columns sit next to each other, y+ then y-
-    var = np.repeat(np.arange(lp.n_vars), np.where(free, 2, 1))
-    sign = np.where(flip, -1.0, 1.0)[var]
-    sign[1:][var[1:] == var[:-1]] = -1.0
-    col_upper = width[var]
-    n_cols = var.size
-
-    def project(mat: np.ndarray) -> np.ndarray:
-        return mat[:, var] * sign
-
-    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    a = np.zeros((m_eq + m_ub, n_cols + m_ub))
+    n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
+    a = np.zeros((m_eq + m_ub, n + m_ub))
     b = np.zeros(m_eq + m_ub)
-    a[:m_eq, :n_cols] = project(lp.a_eq)
-    b[:m_eq] = lp.b_eq - lp.a_eq @ offsets
-    a[m_eq:, :n_cols] = project(lp.a_ub)
-    b[m_eq:] = lp.b_ub - lp.a_ub @ offsets
-    a[m_eq:, n_cols:] = np.eye(m_ub)
+    a[:m_eq, :n] = lp.a_eq
+    b[:m_eq] = lp.b_eq - lp.a_eq @ lo
+    a[m_eq:, :n] = lp.a_ub
+    b[m_eq:] = lp.b_ub - lp.a_ub @ lo
+    a[m_eq:, n:] = np.eye(m_ub)
 
     # row equilibration keeps pivot/feasibility tolerances meaningful
     row_scale = np.maximum(1.0, np.abs(a).max(axis=1, initial=0.0))
@@ -183,10 +163,10 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    cost = np.zeros(n_cols + m_ub)
-    cost[:n_cols] = lp.f[var] * sign
-    upper = np.concatenate([col_upper, np.full(m_ub, np.inf)])
-    return _StandardForm(a, b, cost, upper, var, sign, offsets)
+    cost = np.zeros(n + m_ub)
+    cost[:n] = lp.f
+    upper = np.concatenate([np.maximum(hi - lo, 0.0), np.full(m_ub, np.inf)])
+    return _StandardForm(a, b, cost, upper)
 
 
 # --- tableau simplex ----------------------------------------------------------
@@ -320,8 +300,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     y = np.zeros(n_real)
     y[basis] = tab[:m, -1]
     y[flipped] = sf.upper[flipped] - y[flipped]
-    x = sf.offsets.copy()
-    np.add.at(x, sf.col_var, np.multiply(sf.col_sign, y[:sf.col_var.size]))
+    x = lp.lower + y[:lp.n_vars]
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))

@@ -76,18 +76,8 @@ class Scenario:
         return tuple(a for a in self.agents if a.role == ROLE_ACTIVE)
 
     @property
-    def grid_agent(self) -> AgentSpec:
-        return next(a for a in self.agents if a.role == ROLE_GRID)
-
-    @property
     def n_users(self) -> int:
         return len(self.users)
-
-    def agent(self, agent_id: int) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -137,6 +127,14 @@ def validate_scenario(sc: Scenario) -> None:
         if a.role == ROLE_GRID:
             _require(all(v == 0 for v in a.demand_kw) and all(v == 0 for v in a.renewable_kw),
                      f"{where}: the grid agent carries no local demand or renewables")
+    # finite inputs can still overflow the day model; plain float sums turn
+    # that into inf without a numpy warning
+    for field in ("demand_kw", "renewable_kw"):
+        totals = map(sum, zip(*(getattr(a, field) for a in sc.agents)))
+        k = next((k for k, total in enumerate(totals) if not math.isfinite(total)), None)
+        _require(k is None, f"{field} summed over the agents overflows at step {k}")
+    _require(math.isfinite(sc.p_grid_max_kw * sc.dt_hours * sum(sc.tariff.buy)),
+             "the bill bound p_grid_max_kw * dt_hours * sum(tariff.buy) overflows")
     _require(set(sc.graph.node_ids) == set(ids),
              "graph node set differs from the agent id set")
 

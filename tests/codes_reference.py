@@ -77,7 +77,7 @@ class Bus:
 def run_reference(scenario, config, rounds: int):
     """Buses after `rounds` rounds, and the per-round J_est, imbalance and disagreement."""
     g, dt = scenario.graph, scenario.dt_hours
-    buses = {i: Bus(scenario.agent(i), scenario, config) for i in g.node_ids}
+    buses = {a.id: Bus(a, scenario, config) for a in scenario.agents}
     neighbors = {i: [b if a == i else a for a, b in g.edges if i in (a, b)] for i in g.node_ids}
     grid = next(b for b in buses.values() if b.agent.role == ROLE_GRID)
     trace = {"j_est": [], "max_imbalance_kw": [], "consensus_disagreement": []}

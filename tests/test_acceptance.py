@@ -113,7 +113,7 @@ def test_05_consensus_conserves_mass_and_reaches_the_mean(fixtures_dir):
         graphs.append(gen_scenario(GenSpec(users=(4, 7), graph=family), 5).graph)
     rng = np.random.default_rng(0)
     for graph in graphs:
-        x0 = rng.normal(scale=10.0, size=graph.n_nodes)
+        x0 = rng.normal(scale=10.0, size=len(graph.node_ids))
         state = ConsensusState(x0.copy())
         for _ in range(60):
             nxt = consensus_round(state, graph)

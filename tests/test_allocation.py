@@ -31,7 +31,7 @@ def two_user_scenario():
 def test_equal_savings_worked_example():
     # D = (3, 1), J = 3: the whole gain of 1 splits into 0.5 each
     sc = two_user_scenario()
-    report = allocate_centralized(sc, j_social=3.0, selfish_costs=np.array([3.0, 1.0]))
+    report = allocate_centralized(sc, j=3.0, selfish_costs=np.array([3.0, 1.0]))
     assert abs(report.epsilon - 0.5) < 1e-15
     assert np.allclose(report.allocated, [2.5, 0.5])
     assert report.agent_ids == (1, 2)
@@ -54,7 +54,7 @@ def test_allocation_invariants_on_random_scenarios():
 def test_bargaining_error_when_cooperation_hurts():
     sc = two_user_scenario()
     with pytest.raises(BargainingError):
-        allocate_centralized(sc, j_social=5.0, selfish_costs=np.array([3.0, 1.0]))
+        allocate_centralized(sc, j=5.0, selfish_costs=np.array([3.0, 1.0]))
 
 
 def test_distributed_matches_centralized():
@@ -73,7 +73,7 @@ def test_distributed_matches_centralized():
 def test_distributed_bargaining_error():
     sc = two_user_scenario()
     with pytest.raises(BargainingError):
-        allocate_distributed(sc, j_social=5.0, selfish_costs=np.array([3.0, 1.0]))
+        allocate_distributed(sc, j=5.0, selfish_costs=np.array([3.0, 1.0]))
 
 
 def test_all_passive_consumption_equals_allocation():

@@ -86,15 +86,16 @@ def test_oracle_schedules_validate_cleanly():
 
 
 def test_social_lp_is_state_variable_form():
-    # boxes stay out of the rows: the standard form has one row per LP row,
-    # and the 10-user 48-step ring day needs no inequality row at all
+    # boxes stay out of the rows: the standard form has one row per LP row and
+    # one column per variable plus one slack per inequality row, and the
+    # 10-user 48-step ring day needs no inequality row at all
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        lp = random_boxed_lp(rng)
-        assert _to_standard_form(lp).a.shape[0] == lp.a_eq.shape[0] + lp.a_ub.shape[0]
     sc = gen_scenario(GenSpec(users=(10, 10), active=(5, 5), horizon=(48, 48),
                               graph="ring"), seed=1)
     lp = build_social_lp(sc)
+    for case in [random_boxed_lp(rng) for _ in range(20)] + [lp]:
+        assert _to_standard_form(case).a.shape == (case.a_eq.shape[0] + case.a_ub.shape[0],
+                                                   case.n_vars + case.a_ub.shape[0])
     assert lp.a_ub.shape[0] == 0
     assert _to_standard_form(lp).a.shape == (288, 576)
     # columns: buy | sell | P_i | E_i, one block of T per device in id order

