@@ -67,12 +67,18 @@ def day_lp(scenario: Scenario, agents) -> LinearProgram:
     """
     desds = [a.desd for a in agents if a.desd is not None]
     t, n, dt = scenario.horizon, len(desds), scenario.dt_hours
-    eye = np.eye(t)
     f = np.concatenate([np.array(scenario.tariff.buy) * dt, -np.array(scenario.tariff.sell) * dt,
                         np.zeros(2 * n * t)])
-    balance = np.hstack([eye, -eye, np.tile(eye, n), np.zeros((t, n * t))])
-    link = np.hstack([np.zeros((n * t, 2 * t)), np.kron(np.eye(n), dt * eye),
-                      np.kron(np.eye(n), eye - np.eye(t, k=-1))])
+    # link row r = t + i*t + k (device i, step k) owns P column r + t and E column r + t + n*t
+    a_eq = np.zeros((t + n * t, 2 * t + 2 * n * t))
+    steps, link = np.arange(t), np.arange(t, t + n * t)
+    a_eq[steps, steps] = 1.0
+    a_eq[steps, t + steps] = -1.0
+    a_eq[link % t, link + t] = 1.0
+    a_eq[link, link + t] = dt
+    a_eq[link, link + t + n * t] = 1.0
+    later = link[link % t > 0]
+    a_eq[later, later + t + n * t - 1] = -1.0
     e0 = np.zeros((n, t))
     e0[:, 0] = [d.e0_kwh for d in desds]
     box = np.array([(-d.p_charge_max_kw, d.p_discharge_max_kw, d.emin_kwh, d.emax_kwh)
@@ -80,7 +86,7 @@ def day_lp(scenario: Scenario, agents) -> LinearProgram:
     lower = np.concatenate([np.zeros(2 * t), np.repeat(box[:, 0], t), np.repeat(box[:, 2], t)])
     upper = np.concatenate([np.full(2 * t, scenario.p_grid_max_kw), np.repeat(box[:, 1], t),
                             np.repeat(box[:, 3], t)])
-    return LinearProgram(f, a_eq=np.vstack([balance, link]),
+    return LinearProgram(f, a_eq=a_eq,
                          b_eq=np.concatenate([net_load_kw(agents), e0.ravel()]),
                          lower=lower, upper=upper)
 

@@ -8,9 +8,11 @@ Problems are stated as
          lower <= x <= upper
 
 Every lower bound is finite; an upper bound may be +inf.  All matrices are
-dense numpy arrays and the solver is a tableau simplex with no dependencies.
-A pivot updates only the rows with a nonzero pivot-column entry, and phase 1
-keeps no artificial columns.  Variable bounds never become rows: each
+dense numpy arrays; the standard form is written straight into the tableau of
+a dependency-free simplex.  A pivot touches only the rows with a nonzero
+pivot-column entry; its ratio test fills one preallocated array from the
+right-hand side and the basic columns' upper bounds, kept pivot by pivot.
+Phase 1 keeps no artificial columns.  Variable bounds never become rows: each
 variable is one column shifted by its lower bound, and the ratio test keeps
 that column inside its box (Dantzig's upper-bounding technique).
 """
@@ -133,40 +135,35 @@ def check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> l
 
 @dataclass
 class _StandardForm:
-    a: np.ndarray             # rows of the standard system A y = b, 0 <= y <= upper
-    b: np.ndarray
+    tab: np.ndarray           # rows [A | b] of A y = b, 0 <= y <= upper, then a zero cost row
     cost: np.ndarray          # objective over the y columns
     upper: np.ndarray         # per y column; +inf when unbounded above
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
-    """Build equality standard form; None when a bound pair is contradictory."""
+    """Equality standard form, built in the simplex tableau; None when bounds contradict."""
     lo, hi = lp.lower, lp.upper
     if np.any(lo > hi + FEAS_TOL):
         return None
     n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
-    a = np.zeros((m_eq + m_ub, n + m_ub))
-    b = np.zeros(m_eq + m_ub)
-    a[:m_eq, :n] = lp.a_eq
-    b[:m_eq] = lp.b_eq - lp.a_eq @ lo
-    a[m_eq:, :n] = lp.a_ub
-    b[m_eq:] = lp.b_ub - lp.a_ub @ lo
-    a[m_eq:, n:] = np.eye(m_ub)
+    tab = np.zeros((m_eq + m_ub + 1, n + m_ub + 1))
+    rows = tab[:-1]
+    rows[:m_eq, :n] = lp.a_eq
+    rows[:m_eq, -1] = lp.b_eq - lp.a_eq @ lo
+    rows[m_eq:, :n] = lp.a_ub
+    rows[m_eq:, -1] = lp.b_ub - lp.a_ub @ lo
+    rows[m_eq:, n:-1] = np.eye(m_ub)
 
     # row equilibration keeps pivot/feasibility tolerances meaningful
-    row_scale = np.maximum(1.0, np.abs(a).max(axis=1, initial=0.0))
-    a /= row_scale[:, None]
-    b /= row_scale
+    rows /= np.maximum(1.0, np.abs(rows[:, :-1]).max(axis=1, initial=0.0))[:, None]
 
     # flip rows so b >= 0 (phase 1 needs nonnegative rhs)
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    rows[rows[:, -1] < 0] *= -1.0
 
     cost = np.zeros(n + m_ub)
     cost[:n] = lp.f
     upper = np.concatenate([np.maximum(hi - lo, 0.0), np.full(m_ub, np.inf)])
-    return _StandardForm(a, b, cost, upper)
+    return _StandardForm(tab, cost, upper)
 
 
 # --- tableau simplex ----------------------------------------------------------
@@ -181,8 +178,8 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     piv = tab[:, col].copy()
     piv[row] = 0.0
-    rows = np.flatnonzero(piv)   # a zero entry leaves its row unchanged
-    tab[rows] -= np.outer(piv[rows], tab[row])
+    rows = piv.nonzero()[0]   # a zero entry leaves its row unchanged
+    tab[rows] -= piv[rows, None] * tab[row]
     basis[row] = col
 
 
@@ -208,33 +205,30 @@ def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray, flip
     dantzig_limit = 3 * (tab.shape[1] + n_art) + 100
     max_pivots = 100 * (m + tab.shape[1] + n_art) + 100_000
     pivots = start_pivots
+    cost, rhs = tab[-1, :-1], tab[:m, -1]   # views: pivots update them in place
+    ub_basic = upper[basis]                 # upper bound of each row's basic column
+    ratios = np.empty(m)
     while True:
-        cost = tab[-1, :-1]
-        if pivots < dantzig_limit:
-            col = int(np.argmin(cost))
-            if cost[col] >= -PIVOT_TOL:
-                return "optimal", pivots
-        else:
-            neg = np.flatnonzero(cost < -PIVOT_TOL)
-            if neg.size == 0:
-                return "optimal", pivots
-            col = int(neg[0])   # Bland: smallest eligible index
+        # Dantzig: most negative reduced cost; Bland: smallest eligible index
+        col = int(cost.argmin() if pivots < dantzig_limit else (cost < -PIVOT_TOL).argmax())
+        if cost[col] >= -PIVOT_TOL:
+            return "optimal", pivots
         column = tab[:m, col]
-        ratios = np.full(m, np.inf)
         down = column > PIVOT_TOL     # basic column falls to zero
-        ratios[down] = tab[:m, -1][down] / column[down]
         up = column < -PIVOT_TOL      # basic column rises to its upper bound
-        ratios[up] = (upper[basis[up]] - tab[:m, -1][up]) / -column[up]
+        ratios.fill(np.inf)
+        np.divide(np.where(up, ub_basic - rhs, rhs), np.abs(column), out=ratios, where=down | up)
         best = ratios.min(initial=np.inf)
         if upper[col] <= best:
             if np.isinf(upper[col]):
                 return "unbounded", pivots
             _complement(tab, flipped, col, upper[col])
         else:
-            ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
-            row = int(ties[np.argmin(basis[ties])])   # smallest basis index on ties
+            ties = (ratios <= best + PIVOT_TOL).nonzero()[0]
+            row = int(ties[basis[ties].argmin()])   # smallest basis index on ties
             leaving, at_upper = int(basis[row]), column[row] < 0.0
             _pivot(tab, basis, row, col)
+            ub_basic[row] = upper[col]
             if at_upper:
                 _complement(tab, flipped, leaving, upper[leaving])
         pivots += 1
@@ -251,15 +245,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     sf = _to_standard_form(lp)
     if sf is None:
         return LpSolution("infeasible", None, None)
-    a, b = sf.a, sf.b
-    m, n_real = a.shape
+    tab = sf.tab
+    m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
 
     # every row starts on an artificial variable, which has a basis index but
     # no column
     basis = n_real + np.arange(m)
-    tab = np.zeros((m + 1, n_real + 1))
-    tab[:m, :n_real] = a
-    tab[:m, -1] = b
     upper = np.concatenate([sf.upper, np.full(m, np.inf)])
     flipped = np.zeros(n_real, dtype=bool)
 

@@ -119,6 +119,9 @@ def validate_scenario(sc: Scenario) -> None:
                      f"{where}: desd energy bounds need emin <= e0 <= emax")
             _require(d.p_charge_max_kw > 0, f"{where}: desd.p_charge_max_kw must be positive")
             _require(d.p_discharge_max_kw > 0, f"{where}: desd.p_discharge_max_kw must be positive")
+            reach = d.emax_kwh + sc.dt_hours * t * (d.p_charge_max_kw + d.p_discharge_max_kw)
+            _require(math.isfinite(reach), f"{where}: the storage bound desd.emax_kwh + dt_hours * "
+                     "horizon * (desd.p_charge_max_kw + desd.p_discharge_max_kw) overflows")
         else:
             _require(a.desd is None, f"{where}: only active agents may carry a desd block")
         if a.role == ROLE_PASSIVE:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,11 +95,13 @@ def test_social_lp_is_state_variable_form():
     sc = gen_scenario(GenSpec(users=(10, 10), active=(5, 5), horizon=(48, 48),
                               graph="ring"), seed=1)
     lp = build_social_lp(sc)
+    # (the standard form is built in the tableau: one more row for the cost
+    # and one more column for the right-hand side)
     for case in [random_boxed_lp(rng) for _ in range(20)] + [lp]:
-        assert _to_standard_form(case).a.shape == (case.a_eq.shape[0] + case.a_ub.shape[0],
-                                                   case.n_vars + case.a_ub.shape[0])
+        assert _to_standard_form(case).tab.shape == (case.a_eq.shape[0] + case.a_ub.shape[0] + 1,
+                                                     case.n_vars + case.a_ub.shape[0] + 1)
     assert lp.a_ub.shape[0] == 0
-    assert _to_standard_form(lp).a.shape == (288, 576)
+    assert _to_standard_form(lp).tab.shape == (288 + 1, 576 + 1)
     # columns: buy | sell | P_i | E_i, one block of T per device in id order
     t, n = sc.horizon, len(sc.active_users)
     rows = solve_lp(lp).x.reshape(-1, t)
@@ -105,6 +109,55 @@ def test_social_lp_is_state_variable_form():
     for k, a in enumerate(sc.active_users):
         expected = stored_energy(a.desd, rows[2 + k], sc.dt_hours)
         assert np.allclose(rows[2 + n + k], expected, rtol=0.0, atol=1e-9)
+
+
+def block_day_lp(scenario, agents):
+    """The day LP by the textbook block formula, from identity blocks."""
+    desds = [a.desd for a in agents if a.desd is not None]
+    t, n, dt = scenario.horizon, len(desds), scenario.dt_hours
+    eye = np.eye(t)
+    f = np.concatenate([np.array(scenario.tariff.buy) * dt, -np.array(scenario.tariff.sell) * dt,
+                        np.zeros(2 * n * t)])
+    balance = np.hstack([eye, -eye, np.tile(eye, n), np.zeros((t, n * t))])
+    link = np.hstack([np.zeros((n * t, 2 * t)), np.kron(np.eye(n), dt * eye),
+                      np.kron(np.eye(n), eye - np.eye(t, k=-1))])
+    e0 = np.zeros((n, t))
+    e0[:, 0] = [d.e0_kwh for d in desds]
+    lower = np.concatenate([np.zeros(2 * t)] + [np.full(t, -d.p_charge_max_kw) for d in desds]
+                           + [np.full(t, d.emin_kwh) for d in desds])
+    upper = np.concatenate([np.full(2 * t, scenario.p_grid_max_kw)]
+                           + [np.full(t, d.p_discharge_max_kw) for d in desds]
+                           + [np.full(t, d.emax_kwh) for d in desds])
+    b_eq = np.concatenate([centralized.net_load_kw(agents), e0.ravel()])
+    return f, np.vstack([balance, link]), b_eq, lower, upper
+
+
+def test_day_lp_matches_the_block_formula(fixtures_dir):
+    # day_lp fills its rows by index; every coalition's LP must equal the
+    # block formula, the grand coalition and each user alone
+    days = [load_scenario(fixtures_dir / name) for name in ("three_agent.json", "arbitrage_t2.json")]
+    for k, batteries in enumerate((0, 1, 3, 5)):
+        sc = gen_scenario(GenSpec(users=(5, 5), active=(batteries, batteries), horizon=(12, 12),
+                                  graph="ring"), seed=40 + k)
+        assert len(sc.active_users) == batteries
+        days += [sc, dataclasses.replace(sc, dt_hours=0.25)]
+    for sc in days:
+        for agents in [sc.agents] + [[a] for a in sc.users]:
+            lp = centralized.day_lp(sc, agents)
+            expected = block_day_lp(sc, agents)
+            for name, want in zip(("f", "a_eq", "b_eq", "lower", "upper"), expected):
+                assert np.array_equal(getattr(lp, name), want), name
+
+
+def test_fixture_lps_take_a_pinned_number_of_pivots(fixtures_dir):
+    # the pivot path (entering rule, ties, tolerances) is fixed: a kernel
+    # change that moves it must show here, not only in the last bits of a CSV
+    for name, social, alone in (("three_agent.json", 98, {1: 69, 3: 70}),
+                                ("arbitrage_t2.json", 6, {1: 6})):
+        sc = load_scenario(fixtures_dir / name)
+        assert solve_lp(build_social_lp(sc)).iterations == social
+        assert {a.id: solve_lp(centralized.day_lp(sc, [a])).iterations
+                for a in sc.active_users} == alone
 
 
 def test_net_exchange():

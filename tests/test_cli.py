@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,26 @@ def test_overflowing_day_is_validation_error(fixtures_dir, tmp_path, capsys):
             assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2
             assert "overflows" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_battery_box_too_wide_for_floats_is_validation_error(fixtures_dir, tmp_path, capsys):
+    # finite ratings whose box the day LP cannot hold: its width and the
+    # energy a step can move overflow, which once crashed the simplex
+    data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())
+    data["dt_hours"] = 10.0
+    data["agents"][0]["desd"].update(emax_kwh=1e308, p_charge_max_kw=1e308,
+                                     p_discharge_max_kw=1e308)
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["solve"]):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "agent 1" in err and "desd.p_charge_max_kw" in err and "overflows" in err
+        assert not out.exists()
 
 
 def test_missing_scenario_leaves_no_artifacts(tmp_path):
