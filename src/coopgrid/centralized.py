@@ -15,8 +15,10 @@ are data.  With net(t) the summed demand minus renewables,
 `solve_day` solves this day for any coalition of agents: the social optimum
 is the grand coalition, a user's stand-alone day (selfish.py) is that user
 alone.  A day with no battery needs no simplex, since the balance row fixes
-the exchange.  Whatever schedule a solver returns, `schedule_cost` is the one
-function that prices it.
+the exchange.  Every other day enters the simplex at `day_start`, where each
+battery ramps at full power to its nearer energy bound and the grid takes the
+rest; phase 1 runs only when that point breaks the grid limit.  Whatever
+schedule a solver returns, `schedule_cost` is the one function that prices it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpSolution, check_feasible, solve_lp
+from .lp import LinearProgram, LpError, LpSolution, LpStart, check_feasible, solve_lp
 from .scenario import Scenario
 
 BALANCE_TOL_ORACLE = 1e-8
@@ -91,6 +93,37 @@ def day_lp(scenario: Scenario, agents) -> LinearProgram:
                          lower=lower, upper=upper)
 
 
+def day_start(scenario: Scenario, agents) -> LpStart:
+    """Start basis of `day_lp`: each battery ramps at full power toward its
+    nearer energy bound (E_i(t) basic, P_i(t) at its rating), then holds there
+    from the first step in reach (P_i(t) basic, E_i(t) at the bound); buy(t),
+    or sell(t) on a surplus, carries balance row t.  The hold rows pivot as
+    one block, the ramp rows as one block per step, then the balance rows."""
+    desds = [a.desd for a in agents if a.desd is not None]
+    t, n, dt = scenario.horizon, len(desds), scenario.dt_hours
+    e0, emin, emax, charge, discharge = np.array(
+        [(d.e0_kwh, d.emin_kwh, d.emax_kwh, d.p_charge_max_kw, d.p_discharge_max_kw)
+         for d in desds]).T
+    down = e0 - emin <= emax - e0                  # emin is the nearer bound
+    gap = np.where(down, e0 - emin, emax - e0)
+    rate = np.where(down, discharge, charge)
+    steps = np.arange(t)
+    reach = (steps + 1) * dt * rate[:, None]        # energy a full-power ramp moves by each step
+    ramp = gap[:, None] > reach                     # a prefix of each battery's steps
+    hold = ~ramp
+    moved = np.minimum(gap[:, None], reach)
+    p = np.where(down, 1.0, -1.0)[:, None] * np.diff(moved, axis=1, prepend=0.0) / dt
+    link = t + t * np.arange(n)[:, None] + steps    # energy-link row of each battery and step
+    p_col, e_col = link + t, link + t + n * t
+    blocks = [(link.T[hold.T], p_col.T[hold.T])]   # step by step: few balance rows per chunk
+    blocks += [(link[ramp[:, k], k], e_col[ramp[:, k], k])
+               for k in np.flatnonzero(ramp.any(axis=0))]
+    sell = net_load_kw(agents) - p.sum(axis=0) < 0.0
+    blocks.append((steps, np.where(sell, t + steps, steps)))
+    return LpStart(blocks, np.concatenate([p_col[ramp & down[:, None]],
+                                           e_col[hold & ~down[:, None]]]))
+
+
 def build_social_lp(scenario: Scenario) -> LinearProgram:
     return day_lp(scenario, scenario.agents)
 
@@ -106,7 +139,7 @@ def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSched
         x = np.concatenate([np.maximum(lp.b_eq, 0.0), np.maximum(-lp.b_eq, 0.0)])
         sol = LpSolution("infeasible" if check_feasible(lp, x) else "optimal", x, float(lp.f @ x))
     else:
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, start=day_start(scenario, agents))
     if sol.status == "infeasible":
         raise InfeasibleScenarioError(_diagnose_infeasibility(scenario, agents))
     if sol.status != "optimal":

@@ -46,6 +46,8 @@ class GenSpec:
                 raise ValueError(f"bad range for {name}: ({lo}, {hi})")
         if self.users[0] < 1:
             raise ValueError("need at least one user")
+        if self.horizon[0] < 1:
+            raise ValueError(f"horizon must be at least one step: got {self.horizon}")
 
 
 def _edges(family: str, ids: list[int], rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -15,6 +15,12 @@ right-hand side and the basic columns' upper bounds, kept pivot by pivot.
 Phase 1 keeps no artificial columns.  Variable bounds never become rows: each
 variable is one column shifted by its lower bound, and the ratio test keeps
 that column inside its box (Dantzig's upper-bounding technique).
+
+A caller that knows a basis passes it as an `LpStart`: a few diagonal block
+pivots bring the tableau there, and phase 2 starts from it when every basic
+value lies in its box.  Phase 1 runs, on a fresh standard form, for an LP
+without a start or with one that fails those tests, so it alone decides
+'infeasible'.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-10   # entries smaller than this are treated as zero pivots
 FEAS_TOL = 1e-8     # feasibility tolerance on row-scaled residuals
+BLOCK_ROWS = 32     # rows a start pivots at once, which bounds its temporaries
 
 
 class LpError(Exception):
@@ -93,7 +100,23 @@ class LpSolution:
     status: str                 # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray | None
     objective_value: float | None
-    iterations: int = 0
+    phase1_pivots: int = 0      # 0 when the simplex started from a feasible `LpStart`
+    phase2_pivots: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots
+
+
+@dataclass
+class LpStart:
+    """A basis to enter phase 2 at.  `blocks` pairs each row with its basic
+    column (variable j is column j, the slack of `a_ub` row k column n_vars + k),
+    pivoted block by block; each block's pivot entries must form a diagonal.
+    Nonbasic columns sit at their lower bound, or their upper if in `at_upper`."""
+
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    at_upper: np.ndarray
 
 
 @dataclass
@@ -236,47 +259,97 @@ def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray, flip
             raise LpCycleError(f"pivot guard exceeded after {pivots} pivots")
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def _block_pivot(tab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Pivot each of `rows` onto its entry of `cols`, BLOCK_ROWS rows at a time,
+    updating only the rows with a nonzero entry in those columns.  False, with
+    the tableau half pivoted, unless each chunk's pivot block is a diagonal of
+    entries above PIVOT_TOL."""
+    for lo in range(0, rows.size, BLOCK_ROWS):
+        r, c = rows[lo:lo + BLOCK_ROWS], cols[lo:lo + BLOCK_ROWS]
+        column = tab[:, c]
+        piv = column[r, np.arange(r.size)]
+        if np.count_nonzero(column[r]) != r.size or not (np.abs(piv) > PIVOT_TOL).all():
+            return False
+        pivot_rows = tab[r] / piv[:, None]
+        tab[r] = pivot_rows
+        column[r] = 0.0
+        hit = column.any(axis=1).nonzero()[0]
+        tab[hit] -= column[hit] @ pivot_rows
+    return True
+
+
+def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.ndarray | None:
+    """Pivot the tableau onto the start's basis and return it; None unless every
+    pivot block is diagonal and every basic value lies in its box."""
+    m = sf.tab.shape[0] - 1
+    if not np.array_equal(np.sort(np.concatenate([r for r, _ in start.blocks])), np.arange(m)):
+        raise ValueError("a start must give every row exactly one basic column")
+    at_upper = sf.tab[:, start.at_upper]   # complemented at once: y = upper - y'
+    sf.tab[:, -1] -= at_upper @ sf.upper[start.at_upper]
+    sf.tab[:, start.at_upper] = -at_upper
+    flipped[start.at_upper] = True
+    basis = np.empty(m, dtype=int)
+    for rows, cols in start.blocks:
+        if not _block_pivot(sf.tab, rows, cols):
+            return None
+        basis[rows] = cols
+    rhs = sf.tab[:m, -1]
+    return basis if ((rhs >= -FEAS_TOL) & (rhs <= sf.upper[basis] + FEAS_TOL)).all() else None
+
+
+def _phase1(sf: _StandardForm, flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Minimise the sum of one artificial per row, which has a basis index but
+    no column.  Returns a basis of real columns (None when the LP is
+    infeasible) and the pivot count; redundant rows leave `sf.tab`."""
+    tab = sf.tab
+    m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
+    basis = n_real + np.arange(m)
+    if not m:
+        return basis, 0
+    tab[-1] -= tab[:m].sum(axis=0)
+    status, pivots = _simplex_iterate(tab, basis, np.concatenate([sf.upper, np.full(m, np.inf)]),
+                                      flipped, n_art=m)
+    if status != "optimal":
+        raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
+    if -tab[-1, -1] > FEAS_TOL:
+        return None, pivots
+    # drive leftover artificials out of the basis (degenerate at zero)
+    drop_rows = []
+    for r in range(m):
+        if basis[r] >= n_real:
+            candidates = np.flatnonzero(np.abs(tab[r, :-1]) > PIVOT_TOL)
+            if candidates.size:
+                _pivot(tab, basis, r, int(candidates[0]))
+            else:
+                drop_rows.append(r)   # redundant row
+    if drop_rows:
+        keep = [r for r in range(m) if r not in drop_rows]
+        sf.tab = tab[keep + [m]]
+        basis = basis[keep]
+    return basis, pivots
+
+
+def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpSolution:
     """Two-phase simplex.  Returns status 'optimal', 'infeasible' or 'unbounded'.
 
-    On 'optimal' the returned point satisfies every constraint within
-    FEAS_TOL on row-scaled residuals; anything worse raises LpError.
+    Phase 1 is skipped from a `start` whose basis is primal feasible; any
+    other start falls back to a solve without one.  On 'optimal' the returned
+    point satisfies every constraint within FEAS_TOL on row-scaled residuals;
+    anything worse raises LpError.
     """
     sf = _to_standard_form(lp)
     if sf is None:
         return LpSolution("infeasible", None, None)
-    tab = sf.tab
-    m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
-
-    # every row starts on an artificial variable, which has a basis index but
-    # no column
-    basis = n_real + np.arange(m)
-    upper = np.concatenate([sf.upper, np.full(m, np.inf)])
-    flipped = np.zeros(n_real, dtype=bool)
-
-    # phase 1: minimise the artificial sum
-    pivots = 0
-    if m:
-        tab[-1] -= tab[:m].sum(axis=0)
-        status, pivots = _simplex_iterate(tab, basis, upper, flipped, n_art=m)
-        if status != "optimal":
-            raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
-        if -tab[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, iterations=pivots)
-        # drive leftover artificials out of the basis (degenerate at zero)
-        drop_rows = []
-        for r in range(m):
-            if basis[r] >= n_real:
-                candidates = np.flatnonzero(np.abs(tab[r, :-1]) > PIVOT_TOL)
-                if candidates.size:
-                    _pivot(tab, basis, r, int(candidates[0]))
-                else:
-                    drop_rows.append(r)   # redundant row
-        if drop_rows:
-            keep = [r for r in range(m) if r not in drop_rows]
-            tab = tab[keep + [m]]
-            basis = basis[keep]
-            m = len(keep)
+    flipped = np.zeros(sf.cost.size, dtype=bool)
+    basis = None if start is None else _enter_start(sf, start, flipped)
+    phase1 = 0
+    if basis is None:
+        if start is not None:   # never phase 1 on a half-pivoted tableau
+            sf, flipped[:] = _to_standard_form(lp), False
+        basis, phase1 = _phase1(sf, flipped)
+        if basis is None:
+            return LpSolution("infeasible", None, None, phase1)
+    tab, n_real, m = sf.tab, sf.cost.size, basis.size
 
     # phase 2: real objective over the original columns, with complemented
     # columns entering at their upper bound
@@ -284,9 +357,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab[-1, :n_real] = cost
     tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
     tab[-1] -= cost[basis] @ tab[:m]
-    status, pivots = _simplex_iterate(tab, basis, sf.upper, flipped, start_pivots=pivots)
+    status, pivots = _simplex_iterate(tab, basis, sf.upper, flipped, start_pivots=phase1)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations=pivots)
+        return LpSolution("unbounded", None, None, phase1, pivots - phase1)
 
     y = np.zeros(n_real)
     y[basis] = tab[:m, -1]
@@ -295,4 +368,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
-    return LpSolution("optimal", x, float(lp.f @ x), iterations=pivots)
+    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots - phase1)

@@ -10,10 +10,12 @@ from coopgrid.centralized import (
     build_social_lp,
     check_schedule,
     csv_text,
+    day_start,
     net_exchange,
     read_schedule_csv,
     schedule_cost,
     schedule_csv_text,
+    solve_day,
     solve_social,
     stored_energy,
 )
@@ -151,13 +153,124 @@ def test_day_lp_matches_the_block_formula(fixtures_dir):
 
 def test_fixture_lps_take_a_pinned_number_of_pivots(fixtures_dir):
     # the pivot path (entering rule, ties, tolerances) is fixed: a kernel
-    # change that moves it must show here, not only in the last bits of a CSV
-    for name, social, alone in (("three_agent.json", 98, {1: 69, 3: 70}),
-                                ("arbitrage_t2.json", 6, {1: 6})):
+    # change that moves it must show here, not only in the last bits of a CSV.
+    # Pinned twice: by phase 1 from no start, and by phase 2 alone from the
+    # day's start
+    for name, social, alone, started_social, started_alone in (
+            ("three_agent.json", 98, {1: 69, 3: 70}, 30, {1: 24, 3: 22}),
+            ("arbitrage_t2.json", 6, {1: 6}, 2, {1: 2})):
         sc = load_scenario(fixtures_dir / name)
         assert solve_lp(build_social_lp(sc)).iterations == social
         assert {a.id: solve_lp(centralized.day_lp(sc, [a])).iterations
                 for a in sc.active_users} == alone
+        pins = {}
+        for key, agents in [("social", sc.agents)] + [(a.id, [a]) for a in sc.active_users]:
+            sol = solve_lp(centralized.day_lp(sc, agents), start=day_start(sc, agents))
+            pins[key] = (sol.phase1_pivots, sol.phase2_pivots)
+        assert pins == {"social": (0, started_social),
+                        **{k: (0, v) for k, v in started_alone.items()}}
+
+
+def solve_both_ways(sc, agents):
+    """The coalition's day LP from its start and from phase 1 alone."""
+    lp = centralized.day_lp(sc, agents)
+    return solve_lp(lp, start=day_start(sc, agents)), solve_lp(lp)
+
+
+def assert_start_taken_with_the_phase_one_optimum(sc):
+    for agents in [sc.agents] + [[a] for a in sc.active_users]:
+        started, phase_one = solve_both_ways(sc, agents)
+        assert started.phase1_pivots == 0 and started.status == "optimal"
+        assert started.iterations == started.phase2_pivots
+        j = phase_one.objective_value
+        _, cost = solve_day(sc, agents, centralized.day_lp(sc, agents))
+        assert abs(cost - j) <= 1e-9 * (1 + abs(j))
+        assert cost == started.objective_value
+    schedule, _ = solve_social(sc)
+    assert check_schedule(sc, schedule) == []
+
+
+# each benchmark workload's GenSpec, at the seeds its seed-1 run draws (the
+# 41-bus day and the oracle-mid days, then one settle-batch round), and the
+# generator's defaults
+STARTED_DAYS = (
+    [(dict(users=(40, 40), active=(20, 20), horizon=(24, 24), graph="ring"), 1000)]
+    + [(dict(users=(10, 10), active=(5, 5), horizon=(48, 48), graph="ring"), s)
+       for s in (1000, 1001)]
+    + [(dict(users=(u, u), active=(a, a), horizon=(24, 24), graph="random"), 1000 + k)
+       for k, (u, a) in enumerate((u, a) for u in range(2, 6) for a in range(4))]
+    + [({}, s) for s in range(40)])
+
+
+def test_the_start_is_taken_on_every_generated_battery_day():
+    battery_days = 0
+    for spec, seed in STARTED_DAYS:
+        sc = gen_scenario(GenSpec(**spec), seed)
+        if sc.active_users:
+            battery_days += 1
+            assert_start_taken_with_the_phase_one_optimum(sc)
+    assert battery_days >= 45
+
+
+def battery_day(desds, dt=1.0, p_grid_max=30.0, demand=(1.0, 2.0, 0.5, 3.0, 1.0, 2.0),
+                renewable=(0.5, 3.0, 2.0, 0.0, 1.0, 0.2)):
+    """A 6-step day: one active user per battery plus a passive user, on a
+    time-of-use tariff."""
+    buy = (0.10, 0.30, 0.20, 0.40, 0.15, 0.35)
+    agents = [AgentSpec(id=k + 1, role="active", demand_kw=demand, renewable_kw=renewable,
+                        desd=d) for k, d in enumerate(desds)]
+    agents += [AgentSpec(id=len(desds) + 1, role="passive", demand_kw=demand,
+                         renewable_kw=(0.0,) * 6),
+               AgentSpec(id=len(desds) + 2, role="grid", demand_kw=(0.0,) * 6,
+                         renewable_kw=(0.0,) * 6)]
+    ids = [a.id for a in agents]
+    return Scenario(horizon=6, dt_hours=dt, p_grid_max_kw=p_grid_max,
+                    tariff=Tariff(buy=buy, sell=tuple(0.5 * b for b in buy)),
+                    agents=tuple(agents),
+                    graph=metropolis_weights(ids, list(zip(ids, ids[1:]))))
+
+
+EDGE_BATTERIES = {
+    "e0 at emin": DesdSpec(e0_kwh=1.0, emin_kwh=1.0, emax_kwh=5.0,
+                           p_charge_max_kw=1.0, p_discharge_max_kw=1.0),
+    "e0 at emax": DesdSpec(e0_kwh=5.0, emin_kwh=1.0, emax_kwh=5.0,
+                           p_charge_max_kw=1.0, p_discharge_max_kw=1.0),
+    "emin == emax": DesdSpec(e0_kwh=2.0, emin_kwh=2.0, emax_kwh=2.0,
+                             p_charge_max_kw=1.0, p_discharge_max_kw=1.0),
+    "ramp spans the day": DesdSpec(e0_kwh=3.0, emin_kwh=0.0, emax_kwh=10.0,
+                                   p_charge_max_kw=0.1, p_discharge_max_kw=0.1),
+    "bound in one step": DesdSpec(e0_kwh=7.0, emin_kwh=0.0, emax_kwh=8.0,
+                                  p_charge_max_kw=1.0, p_discharge_max_kw=1.0),
+    "bound in one step, rating to spare": DesdSpec(e0_kwh=2.0, emin_kwh=0.0, emax_kwh=9.0,
+                                                   p_charge_max_kw=4.0, p_discharge_max_kw=4.0),
+    "ramp then hold": DesdSpec(e0_kwh=6.5, emin_kwh=0.5, emax_kwh=9.0,
+                               p_charge_max_kw=1.0, p_discharge_max_kw=1.0),
+}
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.25])
+@pytest.mark.parametrize("name", sorted(EDGE_BATTERIES))
+def test_the_start_is_taken_on_edge_batteries(name, dt):
+    assert_start_taken_with_the_phase_one_optimum(battery_day([EDGE_BATTERIES[name]], dt=dt))
+
+
+def test_the_start_is_taken_with_every_edge_battery_at_once():
+    assert_start_taken_with_the_phase_one_optimum(battery_day(list(EDGE_BATTERIES.values())))
+
+
+def test_a_start_that_overshoots_the_grid_limit_falls_back_to_phase_one():
+    # the battery ramps toward emax at 1 kW for two steps, so the start buys
+    # 5 kW against a 4.5 kW limit; an idle battery leaves 4 kW to buy
+    sc = battery_day([DesdSpec(e0_kwh=7.0, emin_kwh=0.0, emax_kwh=10.0,
+                               p_charge_max_kw=1.0, p_discharge_max_kw=1.0)],
+                     p_grid_max=4.5, demand=(2.0,) * 6, renewable=(0.0,) * 6)
+    started, phase_one = solve_both_ways(sc, sc.agents)
+    assert started.phase1_pivots > 0 and started.status == "optimal"
+    assert (started.phase1_pivots, started.phase2_pivots) == (phase_one.phase1_pivots,
+                                                              phase_one.phase2_pivots)
+    assert started.x.tobytes() == phase_one.x.tobytes()
+    _, cost = solve_social(sc)
+    assert cost == phase_one.objective_value
 
 
 def test_net_exchange():

@@ -375,3 +375,10 @@ def test_gen_bad_range_is_validation_error(tmp_path):
     code = main(["gen", "--seed", "0", "--users", "0", "0",
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_gen_zero_step_horizon_names_the_field(tmp_path, capsys):
+    code = main(["gen", "--seed", "0", "--horizon", "0", "0", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

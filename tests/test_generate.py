@@ -49,3 +49,10 @@ def test_bad_spec_rejected():
         GenSpec(users=(3, 2))
     with pytest.raises(ValueError, match="at least one"):
         GenSpec(users=(0, 2))
+
+
+def test_horizon_starts_at_one_step():
+    # a horizon range from 0 once drew zero-step days that crashed the generator
+    with pytest.raises(ValueError, match="horizon"):
+        GenSpec(horizon=(0, 3))
+    assert gen_scenario(GenSpec(horizon=(1, 1)), 0).horizon == 1

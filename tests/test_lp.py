@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import enumerate_lp_vertices
-from coopgrid.lp import LinearProgram, _pivot, check_feasible, solve_lp
+from coopgrid.lp import LinearProgram, LpStart, _pivot, check_feasible, solve_lp
 
 from lp_families import infeasible_lp, random_boxed_lp, unbounded_lp
 
@@ -192,6 +192,61 @@ def test_pivot_updates_only_rows_with_a_nonzero_entry():
         untouched = np.setdiff1d(np.flatnonzero(before[:, col] == 0.0), [row])
         assert untouched.size >= 1
         assert tab[untouched].tobytes() == before[untouched].tobytes()
+
+
+NO_COLUMNS = np.zeros(0, dtype=int)
+
+
+def test_a_feasible_start_skips_phase_one():
+    # min -x0 - x1  s.t.  x0 + x2 = 2,  x1 + x3 = 3,  0 <= x <= 4: x2 and x3
+    # carry the rows, and each of x0 and x1 enters once
+    lp = LinearProgram([-1.0, -1.0, 0.0, 0.0], a_eq=[[1, 0, 1, 0], [0, 1, 0, 1]],
+                       b_eq=[2.0, 3.0], upper=[4.0] * 4)
+    sol = solve_lp(lp, start=LpStart([(np.array([0, 1]), np.array([2, 3]))], NO_COLUMNS))
+    assert (sol.phase1_pivots, sol.phase2_pivots, sol.iterations) == (0, 2, 2)
+    assert sol.x.tolist() == [2.0, 3.0, 0.0, 0.0]
+    # x0 at its upper bound pushes x2 to -2: phase 1 decides instead
+    ref = solve_lp(lp)
+    sol = solve_lp(lp, start=LpStart([(np.array([0, 1]), np.array([2, 3]))], np.array([0])))
+    assert sol.phase1_pivots == ref.phase1_pivots > 0
+    assert sol.x.tobytes() == ref.x.tobytes()
+
+
+def test_a_start_that_is_refused_leaves_the_phase_one_path_as_it_was():
+    # slack starts on the random family: taken where the slacks fit their
+    # boxes, and otherwise the same pivots and the same bytes as no start;
+    # a dense block over every row is never diagonal
+    rng = np.random.default_rng(43)
+    taken = refused = 0
+    for _ in range(150):
+        lp = random_boxed_lp(rng)
+        n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
+        slack = (np.arange(m_eq, m_eq + m_ub), n + np.arange(m_ub))
+        eq = (np.arange(m_eq), np.abs(lp.a_eq).argmax(axis=1))
+        dense = (np.arange(m_eq + m_ub), np.arange(m_eq + m_ub))
+        ref = solve_lp(lp)
+        for blocks in ([eq, slack], [dense]):
+            sol = solve_lp(lp, start=LpStart(blocks, NO_COLUMNS))
+            assert sol.status == ref.status
+            if sol.phase1_pivots == 0:
+                taken += 1
+                assert abs(sol.objective_value - ref.objective_value) <= 1e-9 * (
+                    1.0 + abs(ref.objective_value))
+                assert not check_feasible(lp, sol.x)
+            else:
+                refused += 1
+                assert (sol.phase1_pivots, sol.phase2_pivots) == (ref.phase1_pivots,
+                                                                  ref.phase2_pivots)
+                assert (sol.x is None and ref.x is None) or sol.x.tobytes() == ref.x.tobytes()
+    assert taken >= 30 and refused >= 150
+
+
+def test_a_start_gives_every_row_one_basic_column():
+    lp = LinearProgram([1.0, 1.0], a_eq=[[1.0, 0.0], [0.0, 1.0]], b_eq=[1.0, 1.0])
+    for blocks in ([(np.array([0]), np.array([0]))],
+                   [(np.array([0, 0]), np.array([0, 1]))]):
+        with pytest.raises(ValueError, match="every row"):
+            solve_lp(lp, start=LpStart(blocks, NO_COLUMNS))
 
 
 def test_check_feasible_reports_each_violation_kind():
