@@ -143,9 +143,12 @@ class CodesState:
 class CodesResult:
     schedule: PowerSchedule
     j: float
-    iterations: int
     converged: bool
     trace: np.recarray
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesResult:
@@ -180,4 +183,4 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         grid_buy_kw=buy, grid_sell_kw=sell,
         desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, state.p_desd)})
     return CodesResult(schedule=schedule, j=schedule_cost(scenario, schedule),
-                       iterations=len(trace), converged=converged, trace=trace)
+                       converged=converged, trace=trace)

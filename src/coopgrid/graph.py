@@ -12,7 +12,7 @@ conserving their sum at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,7 @@ class GraphError(ValueError):
 class CommGraph:
     node_ids: tuple[int, ...]            # sorted, stable node order
     edges: tuple[tuple[int, int], ...]
-    weights: np.ndarray                  # (n, n) Metropolis matrix
-
-    def __eq__(self, other):
-        if not isinstance(other, CommGraph):
-            return NotImplemented
-        return (self.node_ids == other.node_ids and self.edges == other.edges
-                and np.array_equal(self.weights, other.weights))
+    weights: np.ndarray = field(compare=False)   # (n, n) Metropolis matrix of the above
 
 
 @dataclass

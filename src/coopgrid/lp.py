@@ -12,15 +12,18 @@ dense numpy arrays; the standard form is written straight into the tableau of
 a dependency-free simplex.  A pivot touches only the rows with a nonzero
 pivot-column entry; its ratio test fills one preallocated array from the
 right-hand side and the basic columns' upper bounds, kept pivot by pivot.
-Phase 1 keeps no artificial columns.  Variable bounds never become rows: each
-variable is one column shifted by its lower bound, and the ratio test keeps
-that column inside its box (Dantzig's upper-bounding technique).
+Variable bounds never become rows: each variable is one column shifted by its
+lower bound, and the ratio test keeps that column inside its box (Dantzig's
+upper-bounding technique).  The tableau keeps one row per LP row throughout.
 
-A caller that knows a basis passes it as an `LpStart`: a few diagonal block
-pivots bring the tableau there, and phase 2 starts from it when every basic
-value lies in its box.  Phase 1 runs, on a fresh standard form, for an LP
-without a start or with one that fails those tests, so it alone decides
-'infeasible'.
+Phase 1 gives each row an artificial with a basis index but no column, and
+phase 2 starts from the basis phase 1 ends on, as it stands: an artificial
+still basic there is boxed at [0, 0], so it stays at zero until a degenerate
+pivot takes it out, and it never re-enters.  A caller that knows a basis
+passes it as an `LpStart`: a few diagonal block pivots bring the tableau
+there, and phase 2 starts from it when every basic value lies in its box.
+Phase 1 runs, on a fresh standard form, for an LP without a start or with
+one that fails those tests, so it alone decides 'infeasible'.
 """
 
 from __future__ import annotations
@@ -206,28 +209,32 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _complement(tab: np.ndarray, flipped: np.ndarray, col: int, upper: float) -> None:
-    """Substitute y = upper - y' for a nonbasic column (cost row included)."""
-    tab[:, -1] -= tab[:, col] * upper
-    tab[:, col] *= -1.0
-    flipped[col] = not flipped[col]
+def _complement(tab: np.ndarray, flipped: np.ndarray, cols: int | np.ndarray,
+                upper: np.ndarray) -> None:
+    """Substitute y = upper - y' for a nonbasic column, or an array of them,
+    cost row included; `upper` holds every column's bound."""
+    column = tab[:, cols]
+    tab[:, -1] -= np.dot(column, upper[cols])
+    tab[:, cols] = -column
+    flipped[cols] = ~flipped[cols]
 
 
-def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray, flipped: np.ndarray,
-                     start_pivots: int = 0, n_art: int = 0) -> tuple[str, int]:
+def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
+                     flipped: np.ndarray) -> tuple[str, int]:
     """Run pivots until optimal or unbounded.  Last tableau row is the cost row.
 
-    Dantzig's rule is used at first for speed; after a pivot budget it switches
-    permanently to Bland's rule, which cannot cycle.  Both budgets count the
-    `n_art` phase-1 artificials, which have no column and so cannot re-enter.
-    The ratio test stops the step where a basic column reaches zero or its
-    upper bound, or the entering column reaches its own; a bound flip counts
-    as a pivot.
+    Dantzig's rule is used at first for speed; after a pivot budget sized from
+    the tableau's width it switches permanently to Bland's rule, which cannot
+    cycle.  `upper` has an entry for each column and then one for each row's
+    artificial, which has a basis index but no column, so it cannot re-enter
+    and is never complemented.  The ratio test stops the step where a basic
+    column reaches zero or its upper bound, or the entering column reaches its
+    own; a bound flip counts as a pivot.
     """
-    m = tab.shape[0] - 1
-    dantzig_limit = 3 * (tab.shape[1] + n_art) + 100
-    max_pivots = 100 * (m + tab.shape[1] + n_art) + 100_000
-    pivots = start_pivots
+    m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
+    dantzig_limit = 3 * tab.shape[1] + 100
+    max_pivots = 100 * (m + tab.shape[1]) + 100_000
+    pivots = 0
     cost, rhs = tab[-1, :-1], tab[:m, -1]   # views: pivots update them in place
     ub_basic = upper[basis]                 # upper bound of each row's basic column
     ratios = np.empty(m)
@@ -245,15 +252,15 @@ def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray, flip
         if upper[col] <= best:
             if np.isinf(upper[col]):
                 return "unbounded", pivots
-            _complement(tab, flipped, col, upper[col])
+            _complement(tab, flipped, col, upper)
         else:
             ties = (ratios <= best + PIVOT_TOL).nonzero()[0]
             row = int(ties[basis[ties].argmin()])   # smallest basis index on ties
             leaving, at_upper = int(basis[row]), column[row] < 0.0
             _pivot(tab, basis, row, col)
             ub_basic[row] = upper[col]
-            if at_upper:
-                _complement(tab, flipped, leaving, upper[leaving])
+            if at_upper and leaving < n_real:
+                _complement(tab, flipped, leaving, upper)
         pivots += 1
         if pivots > max_pivots:
             raise LpCycleError(f"pivot guard exceeded after {pivots} pivots")
@@ -284,10 +291,7 @@ def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.n
     m = sf.tab.shape[0] - 1
     if not np.array_equal(np.sort(np.concatenate([r for r, _ in start.blocks])), np.arange(m)):
         raise ValueError("a start must give every row exactly one basic column")
-    at_upper = sf.tab[:, start.at_upper]   # complemented at once: y = upper - y'
-    sf.tab[:, -1] -= at_upper @ sf.upper[start.at_upper]
-    sf.tab[:, start.at_upper] = -at_upper
-    flipped[start.at_upper] = True
+    _complement(sf.tab, flipped, start.at_upper, sf.upper)
     basis = np.empty(m, dtype=int)
     for rows, cols in start.blocks:
         if not _block_pivot(sf.tab, rows, cols):
@@ -297,36 +301,20 @@ def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.n
     return basis if ((rhs >= -FEAS_TOL) & (rhs <= sf.upper[basis] + FEAS_TOL)).all() else None
 
 
-def _phase1(sf: _StandardForm, flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _phase1(tab: np.ndarray, upper: np.ndarray,
+            flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Minimise the sum of one artificial per row, which has a basis index but
-    no column.  Returns a basis of real columns (None when the LP is
-    infeasible) and the pivot count; redundant rows leave `sf.tab`."""
-    tab = sf.tab
+    no column.  Returns the basis phase 1 ends on (None when the LP is
+    infeasible) and the pivot count; an artificial still basic there sits at
+    zero, and phase 2 keeps it there."""
     m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
     basis = n_real + np.arange(m)
-    if not m:
-        return basis, 0
     tab[-1] -= tab[:m].sum(axis=0)
-    status, pivots = _simplex_iterate(tab, basis, np.concatenate([sf.upper, np.full(m, np.inf)]),
-                                      flipped, n_art=m)
+    status, pivots = _simplex_iterate(tab, basis, np.concatenate([upper, np.full(m, np.inf)]),
+                                      flipped)
     if status != "optimal":
         raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
-    if -tab[-1, -1] > FEAS_TOL:
-        return None, pivots
-    # drive leftover artificials out of the basis (degenerate at zero)
-    drop_rows = []
-    for r in range(m):
-        if basis[r] >= n_real:
-            candidates = np.flatnonzero(np.abs(tab[r, :-1]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(tab, basis, r, int(candidates[0]))
-            else:
-                drop_rows.append(r)   # redundant row
-    if drop_rows:
-        keep = [r for r in range(m) if r not in drop_rows]
-        sf.tab = tab[keep + [m]]
-        basis = basis[keep]
-    return basis, pivots
+    return (None if -tab[-1, -1] > FEAS_TOL else basis), pivots
 
 
 def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpSolution:
@@ -346,26 +334,27 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpSolution:
     if basis is None:
         if start is not None:   # never phase 1 on a half-pivoted tableau
             sf, flipped[:] = _to_standard_form(lp), False
-        basis, phase1 = _phase1(sf, flipped)
+        basis, phase1 = _phase1(sf.tab, sf.upper, flipped)
         if basis is None:
             return LpSolution("infeasible", None, None, phase1)
     tab, n_real, m = sf.tab, sf.cost.size, basis.size
 
     # phase 2: real objective over the original columns, with complemented
-    # columns entering at their upper bound
-    cost = np.where(flipped, -sf.cost, sf.cost)
-    tab[-1, :n_real] = cost
+    # columns entering at their upper bound; artificials are boxed at [0, 0]
+    cost = np.concatenate([np.where(flipped, -sf.cost, sf.cost), np.zeros(m)])
+    tab[-1, :n_real] = cost[:n_real]
     tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
     tab[-1] -= cost[basis] @ tab[:m]
-    status, pivots = _simplex_iterate(tab, basis, sf.upper, flipped, start_pivots=phase1)
+    status, pivots = _simplex_iterate(tab, basis, np.concatenate([sf.upper, np.zeros(m)]), flipped)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, phase1, pivots - phase1)
+        return LpSolution("unbounded", None, None, phase1, pivots)
 
-    y = np.zeros(n_real)
+    y = np.zeros(n_real + m)
     y[basis] = tab[:m, -1]
+    y = y[:n_real]
     y[flipped] = sf.upper[flipped] - y[flipped]
     x = lp.lower + y[:lp.n_vars]
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
-    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots - phase1)
+    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots)

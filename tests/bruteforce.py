@@ -16,14 +16,23 @@ from coopgrid.lp import LinearProgram, LpSolution, check_feasible
 _CHUNK = 65536
 
 
+def _solved(mats: np.ndarray, xs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Which of the systems mats @ x = rhs (stacked on the leading axes) their
+    x solves, to 1e-9 relative to the right-hand side."""
+    resid = np.abs((mats @ xs[..., None])[..., 0] - rhs).max(axis=-1, initial=0.0)
+    return resid <= 1e-9 * (1.0 + np.abs(rhs).max(axis=-1, initial=0.0))
+
+
 def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
                           max_bases: int = 200_000) -> LpSolution:
     """Minimise by enumerating basic solutions (candidate vertices).
 
-    Every square system formed by the equality rows plus a choice of active
-    inequality/bound rows is solved; candidates feasible within feas_tol
+    Every square system formed by a linearly independent subset of the
+    equality rows that spans them all, plus a choice of active
+    inequality/bound rows, is solved; candidates feasible within feas_tol
     (row-scaled) compete on objective value.  Returns status 'optimal' with
-    the best vertex, or 'infeasible' when no candidate passes.
+    the best vertex, or 'infeasible' when the equality rows contradict each
+    other or no candidate passes.
 
     Only valid when the feasible region is bounded (e.g. every variable
     carries a finite box): an unbounded improving ray has no optimal vertex
@@ -49,15 +58,20 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
     g = np.vstack(gs) if gs else np.zeros((0, n))
     h = np.concatenate(hs) if hs else np.zeros(0)
 
-    m_eq = lp.a_eq.shape[0]
+    # the free dimensions are n minus the rank of a_eq, not minus its row count
+    keep: list[int] = []
+    for i in range(lp.a_eq.shape[0]):
+        if np.linalg.matrix_rank(lp.a_eq[keep + [i]]) > len(keep):
+            keep.append(i)
+    a_eq, b_eq = lp.a_eq[keep], lp.b_eq[keep]
+    x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+    if not _solved(lp.a_eq, x, lp.b_eq):
+        return LpSolution("infeasible", None, None)   # the equality rows contradict
+    m_eq = len(keep)
     k = n - m_eq
-    candidates: list[np.ndarray] = []
-    if k <= 0:
-        # equality block alone pins the point (or is inconsistent)
-        x, *_ = np.linalg.lstsq(lp.a_eq, lp.b_eq, rcond=None)
-        resid = np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0)
-        if resid <= 1e-9 * (1.0 + np.abs(lp.b_eq).max(initial=0.0)):
-            candidates.append(x)
+    candidates: list[np.ndarray] = []   # blocks of candidate points, one per row
+    if k == 0:
+        candidates.append(x[None])   # the equality block alone pins the point
     elif k > g.shape[0]:
         pass   # not enough rows to pin a vertex; boxed problems never hit this
     else:
@@ -70,8 +84,8 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
             mats = np.empty((idx.shape[0], n, n))
             rhs = np.empty((idx.shape[0], n))
             if m_eq:
-                mats[:, :m_eq, :] = lp.a_eq
-                rhs[:, :m_eq] = lp.b_eq
+                mats[:, :m_eq, :] = a_eq
+                rhs[:, :m_eq] = b_eq
             mats[:, m_eq:, :] = g[idx]
             rhs[:, m_eq:] = h[idx]
             # Hadamard bound makes the determinant cutoff scale-free
@@ -80,19 +94,19 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
             if nonsingular.any():
                 try:
                     sols = np.linalg.solve(mats[nonsingular], rhs[nonsingular][..., None])[..., 0]
-                    candidates.extend(sols)
+                    candidates.append(sols)
                 except np.linalg.LinAlgError:
                     for i in np.flatnonzero(nonsingular):
                         try:
-                            candidates.append(np.linalg.solve(mats[i], rhs[i]))
+                            candidates.append(np.linalg.solve(mats[i], rhs[i])[None])
                         except np.linalg.LinAlgError:
                             pass
-            for i in np.flatnonzero(~nonsingular):
-                # singular but consistent systems still describe candidate points
-                x, *_ = np.linalg.lstsq(mats[i], rhs[i], rcond=None)
-                resid = np.abs(mats[i] @ x - rhs[i]).max(initial=0.0)
-                if resid <= 1e-9 * (1.0 + np.abs(rhs[i]).max(initial=0.0)):
-                    candidates.append(x)
+            if not nonsingular.all():
+                # singular but consistent systems still describe candidate
+                # points: their least-squares solutions, all in one batch
+                mats, rhs = mats[~nonsingular], rhs[~nonsingular]
+                xs = (np.linalg.pinv(mats, n * np.finfo(float).eps) @ rhs[..., None])[..., 0]
+                candidates.append(xs[_solved(mats, xs, rhs)])
 
     if not candidates:
         return LpSolution("infeasible", None, None)
@@ -102,7 +116,7 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
     if g.shape[0]:
         scale = np.maximum(1.0, np.abs(g).max(axis=1))
         feas &= np.all((g @ xs.T - h[:, None]) / scale[:, None] <= feas_tol, axis=0)
-    if m_eq:
+    if lp.a_eq.shape[0]:
         scale = np.maximum(1.0, np.abs(lp.a_eq).max(axis=1))
         feas &= np.all(np.abs(lp.a_eq @ xs.T - lp.b_eq[:, None]) / scale[:, None] <= feas_tol, axis=0)
     if not feas.any():

@@ -122,3 +122,11 @@ def test_run_consensus_single_node_trivial():
     out = run_consensus([5.0], g, tol=1e-12)
     assert out.iteration == 0
     assert out.values[0] == 5.0
+
+
+def test_graphs_compare_by_nodes_and_edges():
+    # the weights follow from the nodes and edges, so equality reads only those
+    a = metropolis_weights((1, 2, 3), [(1, 2), (2, 3)])
+    assert a == metropolis_weights((1, 2, 3), [(3, 2), (2, 1)])
+    assert a != metropolis_weights((1, 2, 3), [(1, 2), (1, 3)])
+    assert a != metropolis_weights((1, 2, 3, 4), [(1, 2), (2, 3), (3, 4)])

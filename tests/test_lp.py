@@ -57,13 +57,54 @@ def test_equality_only_square_system():
     assert abs(sol.objective_value - ref.objective_value) < 1e-9
 
 
-def test_redundant_equality_rows():
+REDUNDANT_ROW_LPS = [
     # second row is the first doubled; solver must not report infeasible
-    lp = LinearProgram(f=[1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
-                       b_eq=[2.0, 4.0], lower=[0.0, 0.0], upper=[5.0, 5.0])
+    pytest.param(LinearProgram(f=[1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
+                               lower=[0.0, 0.0], upper=[5.0, 5.0]), 0.0, [0.0, 2.0],
+                 id="doubled-row"),
+    # phase 1 ends after no pivot with every artificial basic at zero, so
+    # phase 2 starts with them in its basis and pivots them out
+    pytest.param(LinearProgram([-1.0], a_eq=[[-1.0]], b_eq=[0.0], upper=[5.0]), 0.0, [0.0],
+                 id="one-artificial-left"),
+    pytest.param(LinearProgram([-1.0, -1.0], a_eq=[[-1.0, 1.0], [1.0, -1.0]], b_eq=[0.0, 0.0],
+                               upper=[5.0, 5.0]), -10.0, [5.0, 5.0],
+                 id="two-artificials-left"),
+]
+
+
+@pytest.mark.parametrize("lp, j, x", REDUNDANT_ROW_LPS)
+def test_redundant_equality_rows(lp, j, x):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert abs(sol.objective_value - 0.0) < 1e-9   # x=(0,2)
+    assert abs(sol.objective_value - j) < 1e-9
+    assert np.allclose(sol.x, x, rtol=0.0, atol=1e-9)
+    ref = enumerate_lp_vertices(lp)
+    assert ref.status == "optimal" and abs(ref.objective_value - j) < 1e-9
+
+
+@pytest.mark.parametrize("lp, j, x", REDUNDANT_ROW_LPS)
+def test_redundant_equality_rows_match_highs(lp, j, x):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(lp.f, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=list(zip(lp.lower, lp.upper)),
+                  method="highs")
+    assert res.status == 0 and abs(res.fun - j) < 1e-9
+    assert np.allclose(res.x, x, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("a_eq, b_eq, f, j", [
+    ([[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0], [1.0, 0.0], 0.0),
+    ([[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0], [-1.0, 0.0], -2.0),
+    ([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0], [-1.0, -1.0], -10.0),
+    ([[1.0, 1.0], [2.0, 2.0]], [2.0, 5.0], [1.0, 0.0], None),   # rows contradict
+], ids=["min-x0", "min-minus-x0", "two-row", "contradicting"])
+def test_vertex_enumeration_with_dependent_equality_rows(a_eq, b_eq, f, j):
+    # dependent rows leave more free dimensions than the row count says, so
+    # the oracle must count them from the rank of a_eq
+    ref = enumerate_lp_vertices(LinearProgram(f, a_eq=a_eq, b_eq=b_eq, upper=[5.0, 5.0]))
+    if j is None:
+        assert ref.status == "infeasible"
+    else:
+        assert ref.status == "optimal" and abs(ref.objective_value - j) < 1e-9
 
 
 def test_beale_cycling_instance():
