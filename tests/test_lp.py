@@ -57,11 +57,19 @@ def test_equality_only_square_system():
     assert abs(sol.objective_value - ref.objective_value) < 1e-9
 
 
-REDUNDANT_ROW_LPS = [
+def test_redundant_equality_rows():
     # second row is the first doubled; solver must not report infeasible
-    pytest.param(LinearProgram(f=[1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
-                               lower=[0.0, 0.0], upper=[5.0, 5.0]), 0.0, [0.0, 2.0],
-                 id="doubled-row"),
+    lp = LinearProgram(f=[1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                       b_eq=[2.0, 4.0], lower=[0.0, 0.0], upper=[5.0, 5.0])
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 0.0) < 1e-9   # x=(0,2)
+    assert np.allclose(sol.x, [0.0, 2.0], rtol=0.0, atol=1e-9)
+    ref = enumerate_lp_vertices(lp)
+    assert ref.status == "optimal" and abs(ref.objective_value) < 1e-9
+
+
+ARTIFICIAL_LEFT_LPS = [
     # phase 1 ends after no pivot with every artificial basic at zero, so
     # phase 2 starts with them in its basis and pivots them out
     pytest.param(LinearProgram([-1.0], a_eq=[[-1.0]], b_eq=[0.0], upper=[5.0]), 0.0, [0.0],
@@ -71,9 +79,16 @@ REDUNDANT_ROW_LPS = [
                  id="two-artificials-left"),
 ]
 
+REDUNDANT_ROW_LPS = [
+    pytest.param(LinearProgram(f=[1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
+                               lower=[0.0, 0.0], upper=[5.0, 5.0]), 0.0, [0.0, 2.0],
+                 id="doubled-row"),
+    *ARTIFICIAL_LEFT_LPS,
+]
 
-@pytest.mark.parametrize("lp, j, x", REDUNDANT_ROW_LPS)
-def test_redundant_equality_rows(lp, j, x):
+
+@pytest.mark.parametrize("lp, j, x", ARTIFICIAL_LEFT_LPS)
+def test_artificials_left_basic_after_phase_one(lp, j, x):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - j) < 1e-9
