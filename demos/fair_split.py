@@ -14,6 +14,7 @@ from pathlib import Path
 from coopgrid import (
     allocate_centralized,
     allocate_distributed,
+    consumption_costs,
     disagreement_point,
     load_scenario,
     solve_social,
@@ -33,13 +34,14 @@ def main():
     print(f"  total alone: {d.sum():+.4f}")
     print(f"  cooperating: {j:+.4f}  -> surplus {d.sum() - j:.4f}\n")
 
-    report = allocate_centralized(sc, j, d, schedule=schedule)
+    report = allocate_centralized(sc, j, d)
+    consumption, residual = consumption_costs(sc, schedule)
     print(f"equal-savings split (epsilon = {report.epsilon:.4f} per user):")
     print("  user      alone      allocated   consumption")
-    rows = zip(report.agent_ids, report.selfish, report.allocated, report.consumption)
-    for agent_id, alone, alloc, consumption in rows:
-        print(f"  {agent_id:4d}   {alone:+9.4f}   {alloc:+9.4f}   {consumption:+9.4f}")
-    print(f"  netting residual (bills vs. grid cost): {report.netting_residual:.4f}\n")
+    rows = zip(report.agent_ids, report.selfish, report.allocated, consumption)
+    for agent_id, alone, alloc, bill in rows:
+        print(f"  {agent_id:4d}   {alone:+9.4f}   {alloc:+9.4f}   {bill:+9.4f}")
+    print(f"  netting residual (bills vs. grid cost): {residual:.4f}\n")
 
     distributed = allocate_distributed(sc, j, d, tol=1e-8)
     worst = max(abs(a - b) for a, b in zip(distributed.allocated, report.allocated))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import PowerSchedule, schedule_cost
+from .centralized import PowerSchedule, net_exchange, net_load_kw, schedule_cost
 from .graph import run_consensus
 from .scenario import ROLE_GRID, Scenario
 
@@ -36,10 +36,7 @@ class CostReport:
     selfish: np.ndarray                 # D_i
     allocated: np.ndarray               # J_i
     epsilon: float                      # per-user saving D_i - J_i
-    method: str                         # 'centralized' | 'distributed'
     rounds: int = 0                     # consensus rounds when distributed
-    consumption: np.ndarray | None = None
-    netting_residual: float | None = None
 
 
 def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
@@ -50,31 +47,19 @@ def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
     return selfish_costs
 
 
-def _report(scenario: Scenario, selfish: np.ndarray, allocated: np.ndarray, epsilon: float,
-            method: str, rounds: int, schedule: PowerSchedule | None) -> CostReport:
-    report = CostReport(agent_ids=tuple(a.id for a in scenario.users), selfish=selfish,
-                        allocated=allocated, epsilon=float(epsilon), method=method,
-                        rounds=rounds)
-    if schedule is not None:
-        report.consumption, report.netting_residual = consumption_costs(scenario, schedule)
-    return report
-
-
-def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray,
-                         schedule: PowerSchedule | None = None) -> CostReport:
+def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray) -> CostReport:
     selfish_costs = _selfish_costs(scenario, selfish_costs)
     if selfish_costs.sum() - j < -1e-9 * (1.0 + abs(j)):
         raise BargainingError(
             f"cooperative cost {j:.6f} exceeds the stand-alone total "
             f"{selfish_costs.sum():.6f}; there is no allocation everyone accepts")
     epsilon = (selfish_costs.sum() - j) / scenario.n_users
-    return _report(scenario, selfish_costs, selfish_costs - epsilon, epsilon,
-                   "centralized", 0, schedule)
+    return CostReport(tuple(a.id for a in scenario.users), selfish_costs,
+                      selfish_costs - epsilon, float(epsilon))
 
 
 def allocate_distributed(scenario: Scenario, j: float, selfish_costs: np.ndarray,
-                         tol: float = 1e-6,
-                         schedule: PowerSchedule | None = None) -> CostReport:
+                         tol: float = 1e-6) -> CostReport:
     """Equal-savings split computed by averaging consensus on the scenario graph.
 
     Node values start at D_i (users) and -J (grid); their average is
@@ -96,29 +81,23 @@ def allocate_distributed(scenario: Scenario, j: float, selfish_costs: np.ndarray
             f"consensus found negative savings ({epsilon:.6f} per user); "
             "cooperation does not pay here")
     allocated = selfish_costs - (r + 1) / r * state.values[is_user]
-    return _report(scenario, selfish_costs, allocated, epsilon, "distributed",
-                   state.iteration, schedule)
+    return CostReport(tuple(a.id for a in scenario.users), selfish_costs, allocated,
+                      epsilon, state.iteration)
 
 
 def consumption_costs(scenario: Scenario, schedule: PowerSchedule) -> tuple[np.ndarray, float]:
     """Bill each user for its own net draw at the tariff.
 
-    A user's net draw is demand minus renewables minus storage dispatch;
-    positive draw is billed at the buy price, negative at the sell price.
-    Individual bills ignore that opposite draws cancel before touching the
-    main grid, so their sum exceeds the cooperative cost by a nonnegative
-    netting residual, which is returned alongside.
+    A user's net draw is its net load minus its storage dispatch, priced by
+    `schedule_cost` as if the user alone faced the grid.  Individual bills
+    ignore that opposite draws cancel before touching the main grid, so their
+    sum exceeds the cooperative cost by a nonnegative netting residual, which
+    is returned alongside.
     """
-    buy = np.array(scenario.tariff.buy)
-    sell = np.array(scenario.tariff.sell)
-    dt = scenario.dt_hours
     bills = []
     for a in scenario.users:
-        g = np.array(a.demand_kw) - np.array(a.renewable_kw)
-        if a.id in schedule.desd_power_kw:
-            g = g - schedule.desd_power_kw[a.id]
-        bills.append(float(np.sum(dt * (buy * np.maximum(g, 0.0)
-                                        - sell * np.maximum(-g, 0.0)))))
+        draw = net_load_kw([a]) - schedule.desd_power_kw.get(a.id, 0.0)
+        bills.append(schedule_cost(scenario, PowerSchedule(*net_exchange(draw, 0.0), {})))
     bills = np.array(bills)
     residual = float(bills.sum() - schedule_cost(scenario, schedule))
     return bills, residual

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import BargainingError, allocate_centralized, allocate_distributed
+from .allocation import (
+    BargainingError,
+    allocate_centralized,
+    allocate_distributed,
+    consumption_costs,
+)
 from .centralized import InfeasibleScenarioError, csv_text, schedule_csv_text, solve_social
 from .codes import CodesConfig, run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
@@ -162,21 +168,21 @@ def cmd_allocate(args) -> int:
         schedule, j = solve_social(sc)
     if args.distributed:
         try:
-            report = allocate_distributed(sc, j, selfish, tol=args.graph_tol,
-                                          schedule=schedule)
+            report = allocate_distributed(sc, j, selfish, tol=args.graph_tol)
         except GraphError as exc:
             # the graph itself was validated at load time, so this is the
             # consensus loop running out of rounds: there is no split to write
             return _fail(EXIT_NO_CONVERGENCE, str(exc))
     else:
-        report = allocate_centralized(sc, j, selfish, schedule=schedule)
-    rows = list(zip(report.agent_ids, report.selfish, report.allocated, report.consumption))
+        report = allocate_centralized(sc, j, selfish)
+    consumption, netting_residual = consumption_costs(sc, schedule)
+    rows = list(zip(report.agent_ids, report.selfish, report.allocated, consumption))
     costs = csv_text(["agent", "D", "J_alloc", "consumption", "epsilon"],
                      (row + (report.epsilon,) for row in rows))
     write_run(args, sc, "allocate", started, {"costs.csv": costs},
-              method=report.method, social_method=args.social_method, j=j,
-              epsilon=report.epsilon, rounds=report.rounds,
-              netting_residual=report.netting_residual,
+              method="distributed" if args.distributed else "centralized",
+              social_method=args.social_method, j=j, epsilon=report.epsilon,
+              rounds=report.rounds, netting_residual=netting_residual,
               config={"graph_tol": args.graph_tol})
     print(f"{'agent':>6} {'D':>12} {'J_alloc':>12} {'consumption':>12}")
     for a, d, x, c in rows:
@@ -252,6 +258,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # one parser per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a mistyped flag should error, not
     # silently match a prefix of --out-dir and scatter artifacts.

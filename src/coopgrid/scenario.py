@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .graph import CommGraph, GraphError, metropolis_weights
@@ -166,11 +166,12 @@ def _number(obj, field: str) -> float:
     return float(obj)
 
 
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, cls, where: str) -> None:
+    """A file object's keys are its dataclass's fields; a field with a default is optional."""
+    unknown = set(mapping) - {f.name for f in fields(cls)}
     if unknown:
         raise ScenarioFormatError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    missing = required - set(mapping)
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(mapping)
     if missing:
         raise ScenarioFormatError(f"{where}: missing field {sorted(missing)[0]!r}")
 
@@ -178,8 +179,7 @@ def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str
 def _parse_agent(obj, where: str) -> AgentSpec:
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{where} must be an object")
-    _check_keys(obj, {"id", "role", "demand_kw", "renewable_kw", "desd"},
-                {"id", "role", "demand_kw", "renewable_kw"}, where)
+    _check_keys(obj, AgentSpec, where)
     if not isinstance(obj["id"], int) or isinstance(obj["id"], bool):
         raise ScenarioFormatError(f"{where}.id must be an integer")
     if not isinstance(obj["role"], str):
@@ -189,9 +189,8 @@ def _parse_agent(obj, where: str) -> AgentSpec:
         dd = obj["desd"]
         if not isinstance(dd, dict):
             raise ScenarioFormatError(f"{where}.desd must be an object")
-        keys = {"e0_kwh", "emin_kwh", "emax_kwh", "p_charge_max_kw", "p_discharge_max_kw"}
-        _check_keys(dd, keys, keys, f"{where}.desd")
-        desd = DesdSpec(**{k: _number(dd[k], f"{where}.desd.{k}") for k in keys})
+        _check_keys(dd, DesdSpec, f"{where}.desd")
+        desd = DesdSpec(**{k: _number(v, f"{where}.desd.{k}") for k, v in dd.items()})
     return AgentSpec(
         id=obj["id"],
         role=obj["role"],
@@ -204,14 +203,13 @@ def _parse_agent(obj, where: str) -> AgentSpec:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioFormatError("top level must be an object")
-    _check_keys(data, {"horizon", "dt_hours", "p_grid_max_kw", "tariff", "agents", "graph", "codes"},
-                {"horizon", "dt_hours", "p_grid_max_kw", "tariff", "agents", "graph"}, "scenario")
+    _check_keys(data, Scenario, "scenario")
     if not isinstance(data["horizon"], int) or isinstance(data["horizon"], bool):
         raise ScenarioFormatError("horizon must be an integer")
     tr = data["tariff"]
     if not isinstance(tr, dict):
         raise ScenarioFormatError("tariff must be an object")
-    _check_keys(tr, {"buy", "sell"}, {"buy", "sell"}, "tariff")
+    _check_keys(tr, Tariff, "tariff")
     if not isinstance(data["agents"], list) or not data["agents"]:
         raise ScenarioFormatError("agents must be a non-empty list")
     agents = tuple(sorted((_parse_agent(a, f"agents[{k}]") for k, a in enumerate(data["agents"])),
@@ -219,7 +217,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     gr = data["graph"]
     if not isinstance(gr, dict):
         raise ScenarioFormatError("graph must be an object")
-    _check_keys(gr, {"edges"}, {"edges"}, "graph")
+    # CommGraph's fields are not the file's: the file gives only the edges
+    if set(gr) != {"edges"}:
+        extra = sorted(set(gr) - {"edges"})
+        raise ScenarioFormatError(f"graph: unknown field {extra[0]!r}" if extra
+                                  else "graph: missing field 'edges'")
     if not isinstance(gr["edges"], list):
         raise ScenarioFormatError("graph.edges must be a list of [i, j] pairs")
     edges = []
@@ -261,7 +263,8 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_reject_constant,
+                          object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
@@ -271,26 +274,34 @@ def _reject_constant(name: str):
     raise ScenarioFormatError(f"non-finite number {name} in scenario")
 
 
+def _reject_duplicates(pairs: list) -> dict:
+    """json.loads keeps a repeated key's last value; a scenario file may not repeat one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioFormatError(f"duplicate field {key!r} in scenario")
+        obj[key] = value
+    return obj
+
+
+def _plain(value):
+    """A scenario value as JSON data: a dataclass by its fields, leaving out
+    those at their default, and a graph by its edges.  Tuples of numbers stay
+    tuples, which json writes as lists."""
+    if isinstance(value, CommGraph):
+        return {"edges": value.edges}
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) != f.default}
+    if isinstance(value, tuple) and value and is_dataclass(value[0]):   # the agents
+        return [_plain(v) for v in value]
+    return value
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
-    out: dict = {
-        "horizon": sc.horizon,
-        "dt_hours": sc.dt_hours,
-        "p_grid_max_kw": sc.p_grid_max_kw,
-        "tariff": {"buy": list(sc.tariff.buy), "sell": list(sc.tariff.sell)},
-        "agents": [],
-        "graph": {"edges": [list(e) for e in sc.graph.edges]},
-    }
-    for a in sc.agents:
-        entry: dict = {"id": a.id, "role": a.role,
-                       "demand_kw": list(a.demand_kw), "renewable_kw": list(a.renewable_kw)}
-        if a.desd is not None:
-            entry["desd"] = {"e0_kwh": a.desd.e0_kwh, "emin_kwh": a.desd.emin_kwh,
-                             "emax_kwh": a.desd.emax_kwh,
-                             "p_charge_max_kw": a.desd.p_charge_max_kw,
-                             "p_discharge_max_kw": a.desd.p_discharge_max_kw}
-        out["agents"].append(entry)
+    out = _plain(sc)
     if sc.codes:
-        out["codes"] = {k: v for k, v in sc.codes}
+        out["codes"] = dict(sc.codes)
     return out
 
 

@@ -29,10 +29,11 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
 
     Every square system formed by a linearly independent subset of the
     equality rows that spans them all, plus a choice of active
-    inequality/bound rows, is solved; candidates feasible within feas_tol
-    (row-scaled) compete on objective value.  Returns status 'optimal' with
-    the best vertex, or 'infeasible' when the equality rows contradict each
-    other or no candidate passes.
+    inequality/bound rows (never both bound rows of one variable), is
+    solved; candidates feasible within feas_tol (row-scaled) compete on
+    objective value.  Returns status 'optimal' with the best vertex, or
+    'infeasible' when the equality rows contradict each other or no
+    candidate passes.
 
     Only valid when the feasible region is bounded (e.g. every variable
     carries a finite box): an unbounded improving ray has no optimal vertex
@@ -40,6 +41,8 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
     """
     n = lp.n_vars
     gs, hs = [], []
+    # the variable a bound row bounds, -1 for an inequality row
+    row_var = [np.full(lp.a_ub.shape[0], -1)]
     if lp.a_ub.shape[0]:
         gs.append(lp.a_ub)
         hs.append(lp.b_ub)
@@ -49,14 +52,17 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
         rows[np.arange(fin.size), fin] = 1.0
         gs.append(rows)
         hs.append(lp.upper[fin])
+        row_var.append(fin)
     fin = np.flatnonzero(np.isfinite(lp.lower))
     if fin.size:
         rows = np.zeros((fin.size, n))
         rows[np.arange(fin.size), fin] = -1.0
         gs.append(rows)
         hs.append(-lp.lower[fin])
+        row_var.append(fin)
     g = np.vstack(gs) if gs else np.zeros((0, n))
     h = np.concatenate(hs) if hs else np.zeros(0)
+    row_var = np.concatenate(row_var)
 
     # the free dimensions are n minus the rank of a_eq, not minus its row count
     keep: list[int] = []
@@ -79,6 +85,10 @@ def enumerate_lp_vertices(lp: LinearProgram, feas_tol: float = 1e-9,
         idx_all = np.array(list(combos))
         if idx_all.shape[0] > max_bases:
             raise ValueError(f"{idx_all.shape[0]} candidate bases exceeds max_bases={max_bases}")
+        # both bound rows of one variable are parallel: such a system is
+        # singular, and every vertex has a nonsingular basis without it
+        var = np.sort(row_var[idx_all], axis=1)
+        idx_all = idx_all[~((var[:, 1:] == var[:, :-1]) & (var[:, 1:] >= 0)).any(axis=1)]
         for lo in range(0, idx_all.shape[0], _CHUNK):
             idx = idx_all[lo:lo + _CHUNK]
             mats = np.empty((idx.shape[0], n, n))

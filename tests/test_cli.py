@@ -46,6 +46,20 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 2
 
 
+def test_duplicated_key_is_validation_error(fixtures_dir, tmp_path, capsys):
+    # json.loads would keep the last value, a 0.5 kW grid limit that makes the day infeasible
+    text = (fixtures_dir / "three_agent.json").read_text()
+    assert '"p_grid_max_kw": 30.0,' in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"p_grid_max_kw": 30.0,',
+                                '"p_grid_max_kw": 30.0, "p_grid_max_kw": 0.5,'))
+    out = tmp_path / "out"
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert main(["solve", "--scenario", str(bad), "--out-dir", str(out)]) == 2
+    assert "duplicate field 'p_grid_max_kw'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999",
                                     pytest.param("1" + "0" * 400, id="huge-integer")])
 def test_non_finite_number_is_validation_error(fixtures_dir, tmp_path, capsys, number):
@@ -230,6 +244,10 @@ def test_allocate_table_balances(fixtures_dir, tmp_path, capsys):
     assert abs(allocated.sum() - report["j"]) <= 1e-9
     assert len(eps) == 1
     assert np.allclose(selfish - allocated, report["epsilon"], atol=1e-12)
+    # each user's bill for its own draw exceeds its share of J by the netting residual
+    consumption = np.array([float(r["consumption"]) for r in rows])
+    assert abs(consumption.sum() - (report["j"] + report["netting_residual"])) <= 1e-9
+    assert report["netting_residual"] >= -1e-9 and report["method"] == "centralized"
     assert "epsilon" in capsys.readouterr().out
     assert_report_lists_its_files(tmp_path, report)
 
@@ -244,8 +262,12 @@ def test_allocate_distributed_matches_centralized(fixtures_dir, tmp_path):
     distrib = read_csv(tmp_path / "d" / "costs.csv")
     for rc, rd in zip(central, distrib):
         assert abs(float(rc["J_alloc"]) - float(rd["J_alloc"])) <= 1e-6
-    rounds = json.loads((tmp_path / "d" / "report.json").read_text())["rounds"]
-    assert 0 < rounds <= 200
+        assert rc["consumption"] == rd["consumption"]    # both bill the same schedule
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert 0 < report["rounds"] <= 200
+    consumption = sum(float(r["consumption"]) for r in distrib)
+    assert abs(consumption - (report["j"] + report["netting_residual"])) <= 1e-9
+    assert report["netting_residual"] >= -1e-9 and report["method"] == "distributed"
 
 
 def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path, capsys):

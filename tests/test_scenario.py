@@ -82,6 +82,15 @@ def test_malformed_json_rejected(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
+def test_key_duplicated_inside_desd_rejected(tmp_path):
+    text = json.dumps(base_dict())
+    assert '"e0_kwh": 2.0,' in text
+    p = tmp_path / "dup.json"
+    p.write_text(text.replace('"e0_kwh": 2.0,', '"e0_kwh": 2.0, "e0_kwh": 3.0,'))
+    with pytest.raises(ScenarioFormatError, match="duplicate field 'e0_kwh'"):
+        load_scenario(p)
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("horizon"), "horizon"),
     (lambda d: d.update(horizon="2"), "horizon"),
