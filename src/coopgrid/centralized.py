@@ -128,8 +128,11 @@ def build_social_lp(scenario: Scenario) -> LinearProgram:
     return day_lp(scenario, scenario.agents)
 
 
-def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSchedule, float]:
-    """Optimal day of the coalition `agents` from its `day_lp`: netted schedule and cost.
+def solve_day(scenario: Scenario, agents, lp: LinearProgram,
+              warm: LpSolution | None = None) -> tuple[PowerSchedule, float, LpSolution]:
+    """Optimal day of the coalition `agents` from its `day_lp`: netted schedule,
+    cost and the LP solution, which can be the `warm` source of the next day LP
+    with the same battery count.
 
     Dispatch is keyed by battery owner.  With no battery the balance row fixes
     the exchange and no simplex runs.  Infeasible days raise InfeasibleScenarioError.
@@ -139,7 +142,7 @@ def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSched
         x = np.concatenate([np.maximum(lp.b_eq, 0.0), np.maximum(-lp.b_eq, 0.0)])
         sol = LpSolution("infeasible" if check_feasible(lp, x) else "optimal", x, float(lp.f @ x))
     else:
-        sol = solve_lp(lp, start=day_start(scenario, agents))
+        sol = solve_lp(lp, start=day_start(scenario, agents), warm=warm)
     if sol.status == "infeasible":
         raise InfeasibleScenarioError(_diagnose_infeasibility(scenario, agents))
     if sol.status != "optimal":
@@ -153,7 +156,7 @@ def solve_day(scenario: Scenario, agents, lp: LinearProgram) -> tuple[PowerSched
     if abs(recomputed - cost) > 1e-9 * (1.0 + abs(cost)):
         raise LpError(f"netting changed the cost: {recomputed} vs {cost}; "
                       "optimal plans never buy and sell in the same step")
-    return schedule, cost
+    return schedule, cost, sol
 
 
 def _diagnose_infeasibility(scenario: Scenario, agents) -> str:
@@ -195,7 +198,8 @@ def stored_energy(desd, p_desd_kw: np.ndarray, dt_hours: float) -> np.ndarray:
 
 def solve_social(scenario: Scenario) -> tuple[PowerSchedule, float]:
     """Exact social optimum.  Raises InfeasibleScenarioError with a diagnosis."""
-    return solve_day(scenario, scenario.agents, build_social_lp(scenario))
+    schedule, cost, _ = solve_day(scenario, scenario.agents, build_social_lp(scenario))
+    return schedule, cost
 
 
 def check_schedule(scenario: Scenario, schedule: PowerSchedule,

@@ -24,11 +24,24 @@ passes it as an `LpStart`: a few diagonal block pivots bring the tableau
 there, and phase 2 starts from it when every basic value lies in its box.
 Phase 1 runs, on a fresh standard form, for an LP without a start or with
 one that fails those tests, so it alone decides 'infeasible'.
+
+A caller that solved an LP with the same `a_eq`, `a_ub` and `f` passes that
+`LpSolution` as `warm`.  Its optimal tableau is dual feasible for any new
+right-hand side and bounds, so the solve copies it, recomputes the basic
+values, and runs the bounded dual simplex (Lemke 1954) until every basic
+value lies in its box; no standard form is built.  When that loop ends other
+than optimal, or its point fails `check_feasible`, the solve starts cold as
+above, so phase 1 still alone decides 'infeasible'.
+
+Reduced costs are priced against the absolute PIVOT_TOL, so a cost vector
+whose largest entry is below 0.5 is lifted by a power of two first: every
+reduced cost scales by the same exact factor, and the objective is still
+priced from x with `f`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +112,24 @@ class LinearProgram:
 
 
 @dataclass
+class LpTableau:
+    """The final tableau of an optimal solve, which a warm solve starts from.
+    Row r's basic column is `basis[r]`; a column in `flipped` is complemented."""
+
+    lp: LinearProgram
+    tab: np.ndarray
+    basis: np.ndarray
+    flipped: np.ndarray
+
+
+@dataclass
 class LpSolution:
     status: str                 # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray | None
     objective_value: float | None
-    phase1_pivots: int = 0      # 0 when the simplex started from a feasible `LpStart`
-    phase2_pivots: int = 0
+    phase1_pivots: int = 0      # 0 when the simplex started from a feasible `LpStart` or warm
+    phase2_pivots: int = 0      # a warm solve's dual and primal pivots
+    tableau: LpTableau | None = field(default=None, repr=False)   # set when optimal
 
     @property
     def iterations(self) -> int:
@@ -166,11 +191,16 @@ class _StandardForm:
     upper: np.ndarray         # per y column; +inf when unbounded above
 
 
-def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
-    """Equality standard form, built in the simplex tableau; None when bounds contradict."""
+def _priced(f: np.ndarray) -> np.ndarray:
+    """The cost vector the simplex prices with: f, lifted by a power of two
+    when its largest entry is below 0.5."""
+    top = np.abs(f).max(initial=0.0)
+    return np.ldexp(f, -np.frexp(top)[1]) if 0.0 < top < 0.5 else f
+
+
+def _to_standard_form(lp: LinearProgram) -> _StandardForm:
+    """Equality standard form, built in the simplex tableau; bounds must not contradict."""
     lo, hi = lp.lower, lp.upper
-    if np.any(lo > hi + FEAS_TOL):
-        return None
     n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
     tab = np.zeros((m_eq + m_ub + 1, n + m_ub + 1))
     rows = tab[:-1]
@@ -187,9 +217,13 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm | None:
     rows[rows[:, -1] < 0] *= -1.0
 
     cost = np.zeros(n + m_ub)
-    cost[:n] = lp.f
-    upper = np.concatenate([np.maximum(hi - lo, 0.0), np.full(m_ub, np.inf)])
-    return _StandardForm(tab, cost, upper)
+    cost[:n] = _priced(lp.f)
+    return _StandardForm(tab, cost, _column_upper(lp))
+
+
+def _column_upper(lp: LinearProgram) -> np.ndarray:
+    """Upper bound of every y column: each variable's width, then each slack's."""
+    return np.concatenate([np.maximum(lp.upper - lp.lower, 0.0), np.full(lp.a_ub.shape[0], np.inf)])
 
 
 # --- tableau simplex ----------------------------------------------------------
@@ -317,17 +351,113 @@ def _phase1(tab: np.ndarray, upper: np.ndarray,
     return (None if -tab[-1, -1] > FEAS_TOL else basis), pivots
 
 
-def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpSolution:
+def _dual_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
+                  flipped: np.ndarray) -> int | None:
+    """Bounded dual simplex from a dual feasible tableau.  Returns the pivot
+    count once every basic value lies in its box, or None when a row cannot
+    be repaired or the pivot budget runs out.
+
+    The leaving row has the largest box violation; the entering column has the
+    least d_j / |alpha_rj| among those that move the basic value toward its box,
+    the smallest index on ties.  A basic column that leaves above its box is
+    complemented, so it sits at zero again.
+    """
+    m = tab.shape[0] - 1
+    if not m:
+        return 0
+    cost, rhs = tab[-1, :-1], tab[:m, -1]
+    ub_basic = upper[basis]
+    ratios = np.empty(tab.shape[1] - 1)
+    for pivots in range(3 * tab.shape[1] + 100):
+        violation = np.maximum(-rhs, rhs - ub_basic)
+        row = int(violation.argmax())
+        if violation[row] <= FEAS_TOL:
+            return pivots
+        above = rhs[row] > 0.0
+        alpha = tab[row, :-1] if above else -tab[row, :-1]   # > 0: moves toward the box
+        eligible = alpha > PIVOT_TOL
+        eligible[basis[row]] = False   # the row's own basic column
+        ratios.fill(np.inf)
+        np.divide(np.maximum(cost, 0.0), alpha, out=ratios, where=eligible)
+        col = int(ratios.argmin())
+        if not eligible[col]:
+            return None
+        leaving = int(basis[row])
+        _pivot(tab, basis, row, col)
+        ub_basic[row] = upper[col]
+        if above:
+            _complement(tab, flipped, leaving, upper)
+    return None
+
+
+def _point(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray, flipped: np.ndarray,
+           upper: np.ndarray) -> np.ndarray:
+    """The x of the tableau's basic solution; a basic artificial carries no variable."""
+    n_real = flipped.size
+    y = np.zeros(n_real + basis.size)
+    y[basis] = tab[:-1, -1]
+    y = y[:n_real]
+    y[flipped] = upper[flipped] - y[flipped]
+    return lp.lower + y[:lp.n_vars]
+
+
+def _solve_warm(lp: LinearProgram, warm: LpSolution) -> LpSolution | None:
+    """Re-optimise `warm`'s final tableau for lp's right-hand side and bounds;
+    None when the solve must start cold instead."""
+    src = warm.tableau
+    if src is None or not all(np.array_equal(getattr(lp, name), getattr(src.lp, name))
+                              for name in ("f", "a_eq", "a_ub")):
+        raise ValueError("a warm source must be a simplex optimum of an LP "
+                         "with the same a_eq, a_ub and f")
+    n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
+    basis, flipped = src.basis.copy(), src.flipped.copy()
+    upper = _column_upper(lp)
+    if (basis >= n + m_ub).any() or np.isinf(upper[flipped]).any():
+        return None   # an artificial is basic, or a complemented column lost its bound
+
+    # basic values: the basic columns of the y system, complemented ones
+    # negated, against the right-hand side with every complemented column
+    # at its upper bound
+    a = np.block([[lp.a_eq, np.zeros((m_eq, m_ub))], [lp.a_ub, np.eye(m_ub)]])
+    sign = np.where(flipped, -1.0, 1.0)
+    fixed = np.where(flipped, upper, 0.0)
+    rhs = np.linalg.solve(a[:, basis] * sign[basis],
+                          np.concatenate([lp.b_eq, lp.b_ub]) - a[:, :n] @ (lp.lower + fixed[:n]))
+    tab = src.tab.copy()
+    tab[:-1, -1] = rhs
+    cost = np.concatenate([_priced(lp.f), np.zeros(m_ub)])
+    tab[-1, -1] = -(cost @ fixed + (sign * cost)[basis] @ rhs)
+    dual = _dual_iterate(tab, basis, upper, flipped)
+    if dual is None:
+        return None
+    # the primal loop prices every column as a cold solve would; it rarely pivots
+    status, primal = _simplex_iterate(tab, basis, upper, flipped)
+    x = _point(lp, tab, basis, flipped, upper)
+    if status != "optimal" or check_feasible(lp, x, tol=FEAS_TOL):
+        return None
+    return LpSolution("optimal", x, float(lp.f @ x), 0, dual + primal,
+                      LpTableau(lp, tab, basis, flipped))
+
+
+def solve_lp(lp: LinearProgram, start: LpStart | None = None,
+             warm: LpSolution | None = None) -> LpSolution:
     """Two-phase simplex.  Returns status 'optimal', 'infeasible' or 'unbounded'.
 
-    Phase 1 is skipped from a `start` whose basis is primal feasible; any
-    other start falls back to a solve without one.  On 'optimal' the returned
-    point satisfies every constraint within FEAS_TOL on row-scaled residuals;
+    A `warm` solution of an LP with the same `a_eq`, `a_ub` and `f` is
+    re-optimised by the dual simplex, and one of any other LP raises
+    ValueError.  Phase 1 is skipped from a `start` whose basis is primal
+    feasible; a warm solve that does not end optimal, and any other start,
+    falls back to a solve without them.  On 'optimal' the returned point
+    satisfies every constraint within FEAS_TOL on row-scaled residuals;
     anything worse raises LpError.
     """
-    sf = _to_standard_form(lp)
-    if sf is None:
+    if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution("infeasible", None, None)
+    if warm is not None:
+        sol = _solve_warm(lp, warm)
+        if sol is not None:
+            return sol
+    sf = _to_standard_form(lp)
     flipped = np.zeros(sf.cost.size, dtype=bool)
     basis = None if start is None else _enter_start(sf, start, flipped)
     phase1 = 0
@@ -349,12 +479,9 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, phase1, pivots)
 
-    y = np.zeros(n_real + m)
-    y[basis] = tab[:m, -1]
-    y = y[:n_real]
-    y[flipped] = sf.upper[flipped] - y[flipped]
-    x = lp.lower + y[:lp.n_vars]
+    x = _point(lp, tab, basis, flipped, sf.upper)
     bad = check_feasible(lp, x, tol=FEAS_TOL)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
-    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots)
+    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots,
+                      LpTableau(lp, tab, basis, flipped))

@@ -3,9 +3,12 @@
 A user's stand-alone day is `centralized.solve_day` over that user alone: the
 same day LP as the social optimum, with only its own demand, renewables and
 storage against the tariff.  A user without a battery needs no simplex; its
-balance row fixes what it buys and sells.  The resulting costs form the
-disagreement point of the bargaining step: no rational user accepts an
-allocated share above its stand-alone cost.
+balance row fixes what it buys and sells.  The battery owners' day LPs share
+`a_eq` and `f` and differ only in the right-hand side and the battery box, so
+each one after the first starts warm from the optimal tableau of the owner
+solved before it.  The resulting costs form the disagreement point of the
+bargaining step: no rational user accepts an allocated share above its
+stand-alone cost.
 """
 
 from __future__ import annotations
@@ -18,5 +21,10 @@ from .scenario import Scenario
 
 def disagreement_point(scenario: Scenario) -> np.ndarray:
     """Stand-alone costs D, one entry per user in id order."""
-    return np.array([solve_day(scenario, [a], day_lp(scenario, [a]))[1]
-                     for a in scenario.users])
+    costs, warm = [], None
+    for a in scenario.users:
+        _, cost, sol = solve_day(scenario, [a], day_lp(scenario, [a]), warm)
+        costs.append(cost)
+        if a.desd is not None:
+            warm = sol
+    return np.array(costs)

@@ -23,6 +23,7 @@ from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 from coopgrid.lp import _to_standard_form, solve_lp
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
+from coopgrid.selfish import disagreement_point
 
 from lp_families import random_boxed_lp
 from tiny_scenarios import tiny_scenario
@@ -183,7 +184,7 @@ def assert_start_taken_with_the_phase_one_optimum(sc):
         assert started.phase1_pivots == 0 and started.status == "optimal"
         assert started.iterations == started.phase2_pivots
         j = phase_one.objective_value
-        _, cost = solve_day(sc, agents, centralized.day_lp(sc, agents))
+        _, cost, _ = solve_day(sc, agents, centralized.day_lp(sc, agents))
         assert abs(cost - j) <= 1e-9 * (1 + abs(j))
         assert cost == started.objective_value
     schedule, _ = solve_social(sc)
@@ -271,6 +272,23 @@ def test_a_start_that_overshoots_the_grid_limit_falls_back_to_phase_one():
     assert started.x.tobytes() == phase_one.x.tobytes()
     _, cost = solve_social(sc)
     assert cost == phase_one.objective_value
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-200])
+def test_tiny_prices_give_the_scaled_optimum(fixtures_dir, scale):
+    # reduced costs below the pivot tolerance once stopped the simplex at its
+    # start with a wrong optimum; the cost row is lifted by a power of two, so
+    # the day takes the unscaled day's pivots and returns its schedule
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    tiny = dataclasses.replace(sc, tariff=Tariff(buy=tuple(scale * b for b in sc.tariff.buy),
+                                                 sell=tuple(scale * s for s in sc.tariff.sell)))
+    schedule, j = solve_social(sc)
+    tiny_schedule, tiny_j = solve_social(tiny)
+    assert abs(tiny_j / scale - j) <= 1e-12 * abs(j)
+    assert tiny_schedule.grid_buy_kw.tobytes() == schedule.grid_buy_kw.tobytes()
+    assert solve_lp(build_social_lp(tiny)).iterations == solve_lp(build_social_lp(sc)).iterations
+    d, tiny_d = disagreement_point(sc), disagreement_point(tiny)
+    assert np.allclose(tiny_d / scale, d, rtol=1e-12, atol=0.0)
 
 
 def test_net_exchange():

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import coopgrid.cli as cli
+from coopgrid import centralized
 from coopgrid.centralized import schedule_cost
 from coopgrid.cli import main
 from coopgrid.lp import LpCycleError
-from coopgrid.scenario import dump_scenario, load_scenario, scenario_digest
+from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, Tariff, dump_scenario,
+                               load_scenario, scenario_digest)
 from coopgrid.generate import GenSpec, gen_scenario
+from coopgrid.graph import metropolis_weights
 
 
 def write_scenario(path: Path, sc) -> Path:
@@ -361,6 +364,47 @@ def test_infeasible_scenario_exit_code(tmp_path):
     squeezed = dataclasses.replace(sc, p_grid_max_kw=0.01)
     path = write_scenario(tmp_path / "squeezed.json", squeezed)
     assert main(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 3
+
+
+def test_infeasible_owner_in_the_middle_of_the_stand_alone_chain(tmp_path, capsys,
+                                                                 monkeypatch):
+    # owner 2's 40 kW at step 3 is more than the 30 kW grid limit and its
+    # 1 kW battery can cover, while owners 1 and 3 export enough to carry it
+    # together; its warm stand-alone solve falls back to phase 1, which
+    # decides, and the diagnosis is the one the first infeasible step gives
+    battery = DesdSpec(e0_kwh=2.0, emin_kwh=0.0, emax_kwh=4.0,
+                       p_charge_max_kw=1.0, p_discharge_max_kw=1.0)
+    t = 6
+    demand = {1: (1.0,) * t, 2: (2.0, 2.0, 2.0, 40.0, 2.0, 2.0), 3: (1.0,) * t}
+    renewable = {1: (0.0, 0.0, 0.0, 20.0, 0.0, 0.0), 2: (0.0,) * t,
+                 3: (0.0, 0.0, 0.0, 10.0, 0.0, 0.0)}
+    agents = tuple(AgentSpec(id=k, role="active", demand_kw=demand[k],
+                             renewable_kw=renewable[k], desd=battery) for k in (1, 2, 3))
+    agents += (AgentSpec(id=4, role="grid", demand_kw=(0.0,) * t, renewable_kw=(0.0,) * t),)
+    sc = Scenario(horizon=t, dt_hours=1.0, p_grid_max_kw=30.0,
+                  tariff=Tariff(buy=(0.2,) * t, sell=(0.1,) * t), agents=agents,
+                  graph=metropolis_weights([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]))
+    assert main(["solve", "--scenario", str(write_scenario(tmp_path / "chain.json", sc)),
+                 "--out-dir", str(tmp_path / "solved")]) == 0
+    solves = []
+    solve_lp = centralized.solve_lp
+
+    def recording(lp, start=None, warm=None):
+        sol = solve_lp(lp, start=start, warm=warm)
+        solves.append((warm is not None, sol.status, sol.phase1_pivots > 0))
+        return sol
+
+    monkeypatch.setattr(centralized, "solve_lp", recording)
+    for extra in ([], ["--distributed"]):
+        del solves[:]
+        code = main(["allocate", *extra, "--scenario", str(tmp_path / "chain.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: agent 2 alone, step 3: net demand 40.000 kW exceeds the grid limit "
+            "30.0 kW even at full discharge\n")
+        # owner 1 from its start, then owner 2 warm from owner 1
+        assert solves == [(False, "optimal", False), (True, "infeasible", True)]
 
 
 def test_internal_solver_fault_exit_code(fixtures_dir, tmp_path, monkeypatch):

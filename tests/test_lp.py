@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import coopgrid.lp as lp_module
 from bruteforce import enumerate_lp_vertices
 from coopgrid.lp import LinearProgram, LpStart, _pivot, check_feasible, solve_lp
 
@@ -303,6 +306,109 @@ def test_a_start_gives_every_row_one_basic_column():
                    [(np.array([0, 0]), np.array([0, 1]))]):
         with pytest.raises(ValueError, match="every row"):
             solve_lp(lp, start=LpStart(blocks, NO_COLUMNS))
+
+
+def perturbed(lp: LinearProgram, rng: np.random.Generator) -> LinearProgram:
+    """The same a_eq, a_ub and f with a new right-hand side and new bounds."""
+    lower = lp.lower + rng.uniform(-0.5, 0.5, lp.n_vars)
+    width = (lp.upper - lp.lower) * rng.uniform(0.5, 1.5, lp.n_vars)
+    return dataclasses.replace(lp, b_ub=lp.b_ub + rng.uniform(-0.5, 0.5, lp.b_ub.size),
+                               b_eq=lp.b_eq + rng.uniform(-0.3, 0.3, lp.b_eq.size),
+                               lower=lower, upper=lower + width)
+
+
+def warm_pairs(seed: int, count: int):
+    """(source solution, perturbed LP) pairs from the optimal random boxed LPs."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        lp = random_boxed_lp(rng)
+        source = solve_lp(lp)
+        if source.status == "optimal":
+            pairs += [(source, perturbed(lp, rng)) for _ in range(3)]
+    return pairs
+
+
+def test_warm_and_cold_solves_agree_on_perturbed_lps(monkeypatch):
+    # a warm solve that ends optimal builds no standard form
+    built = []
+    to_standard_form = lp_module._to_standard_form
+    monkeypatch.setattr(lp_module, "_to_standard_form",
+                        lambda lp: built.append(lp) or to_standard_form(lp))
+    warm_optimal = not_optimal = 0
+    for source, lp in warm_pairs(2024, 300):
+        cold = solve_lp(lp)
+        del built[:]
+        sol = solve_lp(lp, warm=source)
+        assert sol.status == cold.status
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * (
+                1.0 + abs(cold.objective_value))
+            assert not check_feasible(lp, sol.x)
+            if not built:
+                warm_optimal += 1
+                assert sol.phase1_pivots == 0
+        else:
+            not_optimal += 1
+    # most solves end on the dual simplex; the fallback still decides the rest
+    assert warm_optimal >= 200 and not_optimal >= 10
+
+
+def test_warm_solves_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for source, lp in warm_pairs(7, 90):
+        sol = solve_lp(lp, warm=source)
+        res = linprog(lp.f, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                      A_eq=lp.a_eq if lp.a_eq.size else None,
+                      b_eq=lp.b_eq if lp.a_eq.size else None,
+                      bounds=list(zip(lp.lower, lp.upper)), method="highs")
+        assert (sol.status == "optimal") == (res.status == 0)
+        if res.status == 0:
+            assert abs(sol.objective_value - res.fun) <= 1e-9 * (1.0 + abs(res.fun))
+
+
+def test_a_warm_source_of_another_lp_is_refused():
+    lp = LinearProgram([1.0, 2.0], a_ub=[[1.0, -1.0]], b_ub=[1.0], a_eq=[[1.0, 1.0]],
+                       b_eq=[1.0], upper=[2.0, 5.0])
+    source = solve_lp(lp)
+    assert source.status == "optimal"
+    for name, value in (("f", [1.0, 3.0]), ("a_eq", [[1.0, 2.0]]), ("a_ub", [[1.0, 1.0]])):
+        other = dataclasses.replace(lp, **{name: value})
+        with pytest.raises(ValueError, match="same a_eq, a_ub and f"):
+            solve_lp(other, warm=source)
+    infeasible = solve_lp(dataclasses.replace(lp, b_eq=[9.0]))
+    assert infeasible.status == "infeasible"
+    with pytest.raises(ValueError, match="simplex optimum"):
+        solve_lp(lp, warm=infeasible)
+
+
+def test_an_infeasible_warm_lp_falls_back_to_phase_one():
+    lp = LinearProgram([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[2.0, 5.0])
+    source = solve_lp(lp)
+    sol = solve_lp(dataclasses.replace(lp, b_eq=[8.0]), warm=source)   # above what the boxes reach
+    assert (sol.status, sol.x, sol.objective_value) == ("infeasible", None, None)
+    assert sol.phase1_pivots > 0
+    # below it, phase 1 decides at its first pricing
+    assert solve_lp(dataclasses.replace(lp, b_eq=[-1.0]), warm=source).status == "infeasible"
+
+
+def test_iterations_count_the_warm_pivots():
+    # min x0 + 2 x1 s.t. x0 + x1 = b: x0 carries b = 1 alone, and at b = 3 it
+    # leaves above its bound 2 in one dual pivot that brings in x1
+    lp = LinearProgram([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[2.0, 5.0])
+    source = solve_lp(lp)
+    assert source.x.tolist() == [1.0, 0.0]
+    sol = solve_lp(dataclasses.replace(lp, b_eq=[3.0]), warm=source)
+    assert (sol.phase1_pivots, sol.phase2_pivots, sol.iterations) == (0, 1, 1)
+    assert sol.x.tolist() == [2.0, 1.0] and sol.objective_value == 4.0
+    # the source's tableau is left as it was, so it can seed another solve
+    again = solve_lp(dataclasses.replace(lp, b_eq=[1.5]), warm=source)
+    assert (again.iterations, again.x.tolist()) == (0, [1.5, 0.0])
+    # with no rows there is nothing to repair: each column keeps its bound
+    boxes = LinearProgram([1.0, -1.0], upper=[2.0, 3.0])
+    sol = solve_lp(dataclasses.replace(boxes, lower=np.array([1.0, -1.0]),
+                                       upper=np.array([4.0, 5.0])), warm=solve_lp(boxes))
+    assert (sol.iterations, sol.x.tolist()) == (0, [1.0, 5.0])
 
 
 def test_check_feasible_reports_each_violation_kind():

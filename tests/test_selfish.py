@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coopgrid import centralized
 from coopgrid.centralized import InfeasibleScenarioError, day_lp, solve_day, solve_social
 from coopgrid.graph import metropolis_weights
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
@@ -17,7 +18,7 @@ def stand_alone(agent, tariff, p_grid_max_kw, dt_hours):
     sc = Scenario(horizon=t, dt_hours=dt_hours, p_grid_max_kw=p_grid_max_kw, tariff=tariff,
                   agents=(agent, grid),
                   graph=metropolis_weights([agent.id, grid.id], [(agent.id, grid.id)]))
-    return solve_day(sc, [agent], day_lp(sc, [agent]))
+    return solve_day(sc, [agent], day_lp(sc, [agent]))[:2]
 
 
 def test_passive_user_pays_the_posted_price():
@@ -65,7 +66,7 @@ def test_selfish_solution_balances_per_step():
     for _ in range(20):
         sc = tiny_scenario(rng)
         for a in sc.users:
-            schedule, _ = solve_day(sc, [a], day_lp(sc, [a]))
+            schedule, _, _ = solve_day(sc, [a], day_lp(sc, [a]))
             dispatch = schedule.desd_power_kw.get(a.id, 0.0)
             net = np.array(a.demand_kw) - np.array(a.renewable_kw) - dispatch
             assert np.allclose(schedule.grid_buy_kw - schedule.grid_sell_kw, net, atol=1e-8)
@@ -86,3 +87,22 @@ def test_overloaded_agent_raises_with_id():
     with pytest.raises(InfeasibleScenarioError) as exc:
         stand_alone(agent, tariff, p_grid_max_kw=5.0, dt_hours=1.0)
     assert "agent 7" in str(exc.value)
+
+
+def test_the_fixture_chain_starts_each_owner_warm_from_the_last(fixtures_dir, monkeypatch):
+    # user 1 from the day's start, user 3 from user 1's optimal tableau by the
+    # dual simplex; passive user 2 runs no simplex and does not break the chain
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    cold = [solve_day(sc, [a], day_lp(sc, [a]))[1] for a in sc.users]
+    solves = []
+    solve_lp = centralized.solve_lp
+
+    def recording(lp, start=None, warm=None):
+        sol = solve_lp(lp, start=start, warm=warm)
+        solves.append((sol.phase1_pivots, sol.phase2_pivots, warm is not None))
+        return sol
+
+    monkeypatch.setattr(centralized, "solve_lp", recording)
+    d = disagreement_point(sc)
+    assert solves == [(0, 24, False), (0, 27, True)]
+    assert np.allclose(d, cold, rtol=1e-12, atol=0.0)
