@@ -15,10 +15,12 @@ are data.  With net(t) the summed demand minus renewables,
 `solve_day` solves this day for any coalition of agents: the social optimum
 is the grand coalition, a user's stand-alone day (selfish.py) is that user
 alone.  A day with no battery needs no simplex, since the balance row fixes
-the exchange.  Every other day enters the simplex at `day_start`, where each
-battery ramps at full power to its nearer energy bound and the grid takes the
-rest; phase 1 runs only when that point breaks the grid limit.  Whatever
-schedule a solver returns, `schedule_cost` is the one function that prices it.
+the exchange.  Every other day enters the simplex at `day_start`, a
+price-threshold schedule: each battery discharges at full power at the steps
+whose buy price ranks above the median and charges at the others, holding an
+energy bound once it reaches one, and the grid takes the rest.  Phase 1 runs
+only when that point breaks the grid limit.  Whatever schedule a solver
+returns, `schedule_cost` is the one function that prices it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, LpSolution, LpStart, check_feasible, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpError, LpSolution, LpStart, solve_lp
 from .scenario import Scenario
 
 BALANCE_TOL_ORACLE = 1e-8
@@ -94,55 +96,63 @@ def day_lp(scenario: Scenario, agents) -> LinearProgram:
 
 
 def day_start(scenario: Scenario, agents) -> LpStart:
-    """Start basis of `day_lp`: each battery ramps at full power toward its
-    nearer energy bound (E_i(t) basic, P_i(t) at its rating), then holds there
-    from the first step in reach (P_i(t) basic, E_i(t) at the bound); buy(t),
-    or sell(t) on a surplus, carries balance row t.  The hold rows pivot as
-    one block, the ramp rows as one block per step, then the balance rows."""
+    """Start basis of `day_lp` at a price-threshold schedule.  At each step
+    whose buy price ranks above the day's median every battery discharges at
+    full rating, and at every other step it charges at full rating (E_i(t)
+    basic, P_i(t) at its rating).  A step that would reach an energy bound
+    stops there, and the battery holds the bound while the price keeps
+    pushing that way (P_i(t) basic, E_i(t) at the bound).  buy(t), or sell(t)
+    on a surplus, carries balance row t.  The holding rows pivot as one
+    block, the moving rows as a second, in which each battery's run of
+    moving steps is one chain, then the balance rows as a third."""
     desds = [a.desd for a in agents if a.desd is not None]
     t, n, dt = scenario.horizon, len(desds), scenario.dt_hours
-    e0, emin, emax, charge, discharge = np.array(
-        [(d.e0_kwh, d.emin_kwh, d.emax_kwh, d.p_charge_max_kw, d.p_discharge_max_kw)
-         for d in desds]).T
-    down = e0 - emin <= emax - e0                  # emin is the nearer bound
-    gap = np.where(down, e0 - emin, emax - e0)
-    rate = np.where(down, discharge, charge)
-    steps = np.arange(t)
-    reach = (steps + 1) * dt * rate[:, None]        # energy a full-power ramp moves by each step
-    ramp = gap[:, None] > reach                     # a prefix of each battery's steps
-    hold = ~ramp
-    moved = np.minimum(gap[:, None], reach)
-    p = np.where(down, 1.0, -1.0)[:, None] * np.diff(moved, axis=1, prepend=0.0) / dt
-    link = t + t * np.arange(n)[:, None] + steps    # energy-link row of each battery and step
+    rank = np.argsort(np.argsort(scenario.tariff.buy, kind="stable"), kind="stable")
+    discharge = 2 * rank >= t                      # above the median; ranks keep it scale-free
+    energy, held = np.empty((n, t)), np.empty((n, t), dtype=bool)
+    for i, d in enumerate(desds):
+        e = d.e0_kwh
+        for k, down in enumerate(discharge.tolist()):
+            e = e - dt * d.p_discharge_max_kw if down else e + dt * d.p_charge_max_kw
+            held[i, k] = e <= d.emin_kwh if down else e >= d.emax_kwh
+            energy[i, k] = e = min(max(e, d.emin_kwh), d.emax_kwh)
+    p = -np.diff(energy, axis=1, prepend=[[d.e0_kwh] for d in desds]) / dt
+    steps, moving = np.arange(t), ~held
+    link = t + t * np.arange(n)[:, None] + steps   # energy-link row of each battery and step
     p_col, e_col = link + t, link + t + n * t
-    blocks = [(link.T[hold.T], p_col.T[hold.T])]   # step by step: few balance rows per chunk
-    blocks += [(link[ramp[:, k], k], e_col[ramp[:, k], k])
-               for k in np.flatnonzero(ramp.any(axis=0))]
     sell = net_load_kw(agents) - p.sum(axis=0) < 0.0
-    blocks.append((steps, np.where(sell, t + steps, steps)))
-    return LpStart(blocks, np.concatenate([p_col[ramp & down[:, None]],
-                                           e_col[hold & ~down[:, None]]]))
+    blocks = [(link.T[held.T], p_col.T[held.T]),   # step by step: few balance rows per chunk
+              (link[moving], e_col[moving]),
+              (steps, np.where(sell, t + steps, steps))]
+    return LpStart(blocks, np.concatenate([p_col[moving & discharge], e_col[held & ~discharge]]))
 
 
 def build_social_lp(scenario: Scenario) -> LinearProgram:
     return day_lp(scenario, scenario.agents)
 
 
-def solve_day(scenario: Scenario, agents, lp: LinearProgram,
+def solve_day(scenario: Scenario, agents, lp: LinearProgram | None = None,
               warm: LpSolution | None = None) -> tuple[PowerSchedule, float, LpSolution]:
-    """Optimal day of the coalition `agents` from its `day_lp`: netted schedule,
-    cost and the LP solution, which can be the `warm` source of the next day LP
-    with the same battery count.
+    """Optimal day of the coalition `agents` from its `day_lp`, built here when
+    `lp` is None: netted schedule, cost and the LP solution, which can be the
+    `warm` source of the next day LP with the same battery count.
 
     Dispatch is keyed by battery owner.  With no battery the balance row fixes
-    the exchange and no simplex runs.  Infeasible days raise InfeasibleScenarioError.
+    the exchange, and neither a day LP nor a simplex is needed.  A cold solve
+    enters at `day_start`; a warm one that falls back runs phase 1 instead.
+    Infeasible days raise InfeasibleScenarioError.
     """
     t = scenario.horizon
-    if lp.n_vars == 2 * t:
-        x = np.concatenate([np.maximum(lp.b_eq, 0.0), np.maximum(-lp.b_eq, 0.0)])
-        sol = LpSolution("infeasible" if check_feasible(lp, x) else "optimal", x, float(lp.f @ x))
+    if all(a.desd is None for a in agents):
+        net = net_load_kw(agents)
+        x = np.concatenate([np.maximum(net, 0.0), np.maximum(-net, 0.0)])
+        f = np.concatenate([scenario.tariff.buy, np.negative(scenario.tariff.sell)])
+        f *= scenario.dt_hours
+        feasible = (x - scenario.p_grid_max_kw <= FEAS_TOL).all()
+        sol = LpSolution("optimal" if feasible else "infeasible", x, float(f @ x))
     else:
-        sol = solve_lp(lp, start=day_start(scenario, agents), warm=warm)
+        lp = day_lp(scenario, agents) if lp is None else lp
+        sol = solve_lp(lp, start=day_start(scenario, agents) if warm is None else None, warm=warm)
     if sol.status == "infeasible":
         raise InfeasibleScenarioError(_diagnose_infeasibility(scenario, agents))
     if sol.status != "optimal":

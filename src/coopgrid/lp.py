@@ -20,10 +20,13 @@ Phase 1 gives each row an artificial with a basis index but no column, and
 phase 2 starts from the basis phase 1 ends on, as it stands: an artificial
 still basic there is boxed at [0, 0], so it stays at zero until a degenerate
 pivot takes it out, and it never re-enters.  A caller that knows a basis
-passes it as an `LpStart`: a few diagonal block pivots bring the tableau
-there, and phase 2 starts from it when every basic value lies in its box.
-Phase 1 runs, on a fresh standard form, for an LP without a start or with
-one that fails those tests, so it alone decides 'infeasible'.
+passes it as an `LpStart`: a few block pivots bring the tableau there, and
+phase 2 starts from it when every basic value lies in its box.  A block is
+diagonal, or chains rows, each holding minus its pivot in the column of the
+row before it: divided by its pivots such a block is unit lower bidiagonal,
+and its inverse is a cumulative sum down each chain.  Phase 1 runs, on a
+fresh standard form, for an LP without a start or with one that fails those
+tests, so it alone decides 'infeasible'.
 
 A caller that solved an LP with the same `a_eq`, `a_ub` and `f` passes that
 `LpSolution` as `warm`.  Its optimal tableau is dual feasible for any new
@@ -140,8 +143,10 @@ class LpSolution:
 class LpStart:
     """A basis to enter phase 2 at.  `blocks` pairs each row with its basic
     column (variable j is column j, the slack of `a_ub` row k column n_vars + k),
-    pivoted block by block; each block's pivot entries must form a diagonal.
-    Nonbasic columns sit at their lower bound, or their upper if in `at_upper`."""
+    pivoted block by block.  In a block's columns a row holds only its pivot
+    and, when it chains to the row listed before it, minus that pivot in that
+    row's column.  Nonbasic columns sit at their lower bound, or their upper
+    if in `at_upper`."""
 
     blocks: list[tuple[np.ndarray, np.ndarray]]
     at_upper: np.ndarray
@@ -303,15 +308,24 @@ def _simplex_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
 def _block_pivot(tab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
     """Pivot each of `rows` onto its entry of `cols`, BLOCK_ROWS rows at a time,
     updating only the rows with a nonzero entry in those columns.  False, with
-    the tableau half pivoted, unless each chunk's pivot block is a diagonal of
-    entries above PIVOT_TOL."""
+    the tableau half pivoted, unless in each chunk's pivot block every pivot
+    is above PIVOT_TOL and every other entry is zero, except that a row may
+    carry minus its pivot in the row before's column: a chain of such rows
+    is unit lower bidiagonal once divided by its pivots, and is inverted by a
+    cumulative sum down the chain."""
     for lo in range(0, rows.size, BLOCK_ROWS):
         r, c = rows[lo:lo + BLOCK_ROWS], cols[lo:lo + BLOCK_ROWS]
         column = tab[:, c]
-        piv = column[r, np.arange(r.size)]
-        if np.count_nonzero(column[r]) != r.size or not (np.abs(piv) > PIVOT_TOL).all():
+        block = column[r]
+        piv, sub = block.diagonal(), block.diagonal(-1)
+        chained = sub != 0.0
+        if (np.count_nonzero(block) != r.size + np.count_nonzero(chained)
+                or not (np.abs(piv) > PIVOT_TOL).all()
+                or (sub[chained] != -piv[1:][chained]).any()):
             return False
         pivot_rows = tab[r] / piv[:, None]
+        for k in chained.nonzero()[0].tolist():   # the chains' cumulative sums
+            pivot_rows[k + 1] += pivot_rows[k]
         tab[r] = pivot_rows
         column[r] = 0.0
         hit = column.any(axis=1).nonzero()[0]
@@ -321,7 +335,8 @@ def _block_pivot(tab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
 
 def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.ndarray | None:
     """Pivot the tableau onto the start's basis and return it; None unless every
-    pivot block is diagonal and every basic value lies in its box."""
+    pivot block has the form `_block_pivot` takes and every basic value lies
+    in its box."""
     m = sf.tab.shape[0] - 1
     if not np.array_equal(np.sort(np.concatenate([r for r, _ in start.blocks])), np.arange(m)):
         raise ValueError("a start must give every row exactly one basic column")

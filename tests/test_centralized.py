@@ -21,7 +21,7 @@ from coopgrid.centralized import (
 )
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.lp import _to_standard_form, solve_lp
+from coopgrid.lp import _enter_start, _point, _to_standard_form, solve_lp
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
 from coopgrid.selfish import disagreement_point
 
@@ -158,8 +158,8 @@ def test_fixture_lps_take_a_pinned_number_of_pivots(fixtures_dir):
     # Pinned twice: by phase 1 from no start, and by phase 2 alone from the
     # day's start
     for name, social, alone, started_social, started_alone in (
-            ("three_agent.json", 98, {1: 69, 3: 70}, 30, {1: 24, 3: 22}),
-            ("arbitrage_t2.json", 6, {1: 6}, 2, {1: 2})):
+            ("three_agent.json", 98, {1: 69, 3: 70}, 21, {1: 15, 3: 13}),
+            ("arbitrage_t2.json", 6, {1: 6}, 0, {1: 0})):
         sc = load_scenario(fixtures_dir / name)
         assert solve_lp(build_social_lp(sc)).iterations == social
         assert {a.id: solve_lp(centralized.day_lp(sc, [a])).iterations
@@ -213,6 +213,22 @@ def test_the_start_is_taken_on_every_generated_battery_day():
     assert battery_days >= 45
 
 
+def test_the_started_days_take_a_pinned_number_of_pivots():
+    # phase 2 from the start, summed over the social and stand-alone LPs of
+    # every battery day above; a change to the start or the pivot path that
+    # moves this count must show here
+    pivots = 0
+    for spec, seed in STARTED_DAYS:
+        sc = gen_scenario(GenSpec(**spec), seed)
+        if not sc.active_users:
+            continue
+        for agents in [sc.agents] + [[a] for a in sc.active_users]:
+            sol = solve_lp(centralized.day_lp(sc, agents), start=day_start(sc, agents))
+            assert sol.phase1_pivots == 0
+            pivots += sol.phase2_pivots
+    assert pivots == 3334
+
+
 def battery_day(desds, dt=1.0, p_grid_max=30.0, demand=(1.0, 2.0, 0.5, 3.0, 1.0, 2.0),
                 renewable=(0.5, 3.0, 2.0, 0.0, 1.0, 0.2)):
     """A 6-step day: one active user per battery plus a passive user, on a
@@ -260,9 +276,10 @@ def test_the_start_is_taken_with_every_edge_battery_at_once():
 
 
 def test_a_start_that_overshoots_the_grid_limit_falls_back_to_phase_one():
-    # the battery ramps toward emax at 1 kW for two steps, so the start buys
-    # 5 kW against a 4.5 kW limit; an idle battery leaves 4 kW to buy
-    sc = battery_day([DesdSpec(e0_kwh=7.0, emin_kwh=0.0, emax_kwh=10.0,
+    # the start charges the battery at 1 kW at the three cheapest steps (0, 2
+    # and 4), so it buys 5 kW there against a 4.5 kW limit; an idle battery
+    # leaves 4 kW to buy, so the day itself is feasible
+    sc = battery_day([DesdSpec(e0_kwh=2.0, emin_kwh=0.0, emax_kwh=10.0,
                                p_charge_max_kw=1.0, p_discharge_max_kw=1.0)],
                      p_grid_max=4.5, demand=(2.0,) * 6, renewable=(0.0,) * 6)
     started, phase_one = solve_both_ways(sc, sc.agents)
@@ -272,6 +289,44 @@ def test_a_start_that_overshoots_the_grid_limit_falls_back_to_phase_one():
     assert started.x.tobytes() == phase_one.x.tobytes()
     _, cost = solve_social(sc)
     assert cost == phase_one.objective_value
+
+
+def test_the_start_follows_the_price_threshold_by_hand():
+    # battery_day's buy prices rank 0, 3, 2, 5, 1, 4, so the start discharges
+    # at steps 1, 3 and 5 (above the median) and charges at steps 0, 2 and 4
+    charge_fast = DesdSpec(e0_kwh=2.0, emin_kwh=0.0, emax_kwh=4.0,
+                           p_charge_max_kw=3.0, p_discharge_max_kw=1.0)
+    drain = DesdSpec(e0_kwh=1.0, emin_kwh=0.0, emax_kwh=10.0,
+                     p_charge_max_kw=0.5, p_discharge_max_kw=1.0)
+    pinned = DesdSpec(e0_kwh=2.0, emin_kwh=2.0, emax_kwh=2.0,
+                      p_charge_max_kw=1.0, p_discharge_max_kw=1.0)
+    sc = battery_day([charge_fast, drain, pinned])
+    lp = centralized.day_lp(sc, sc.agents)
+    sf = _to_standard_form(lp)
+    flipped = np.zeros(sf.cost.size, dtype=bool)
+    basis = _enter_start(sf, day_start(sc, sc.agents), flipped)
+    assert basis is not None
+    x = _point(lp, sf.tab, basis, flipped, sf.upper)
+    power, energy = x[12:30].reshape(3, 6), x[30:].reshape(3, 6)
+    # charge_fast reaches emax within every charging step and stops there,
+    # then discharges at its full 1 kW; drain charges and discharges at full
+    # power until steps 3 and 5, where it reaches emin; pinned holds its one
+    # energy level at every step
+    assert np.allclose(power, [[-2.0, 1.0, -1.0, 1.0, -1.0, 1.0],
+                               [-0.5, 1.0, -0.5, 1.0, -0.5, 0.5],
+                               [0.0] * 6], rtol=0.0, atol=1e-12)
+    assert np.allclose(energy, [[4.0, 3.0, 4.0, 3.0, 4.0, 3.0],
+                                [1.5, 0.5, 1.0, 0.0, 0.5, 0.0],
+                                [2.0] * 6], rtol=0.0, atol=1e-12)
+    # a moving step has E basic and P at its rating; a step that stops at a
+    # bound, or holds one, has P basic and E at the bound
+    held = np.array([[True, False, True, False, True, False],
+                     [False, False, False, True, False, True],
+                     [True] * 6])
+    basic = np.isin(np.arange(lp.n_vars), basis)
+    assert np.array_equal(basic[12:30].reshape(3, 6), held)
+    assert np.array_equal(basic[30:].reshape(3, 6), ~held)
+    assert_start_taken_with_the_phase_one_optimum(sc)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-200])

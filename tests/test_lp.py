@@ -300,6 +300,38 @@ def test_a_start_that_is_refused_leaves_the_phase_one_path_as_it_was():
     assert taken >= 30 and refused >= 150
 
 
+def chain_lp(link: float = -1.0) -> LinearProgram:
+    """min x3 + x4 + x5  s.t.  x0 + x3 = 1,  link*x0 + x1 + x4 = 1,
+    -x1 + x2 + x5 = 1,  0 <= x <= 4: x0, x1, x2 chain like stored energy."""
+    return LinearProgram([0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                         a_eq=[[1, 0, 0, 1, 0, 0], [link, 1, 0, 0, 1, 0], [0, -1, 1, 0, 0, 1]],
+                         b_eq=[1.0, 1.0, 1.0], upper=[4.0] * 6)
+
+
+def test_a_chained_start_block_is_entered_as_a_cumulative_sum():
+    # x0, x1, x2 carry rows 0-2 in one block that is unit lower bidiagonal,
+    # so they take the running sums 1, 2, 3 and x3 = x4 = x5 = 0 is optimal
+    lp = chain_lp()
+    sol = solve_lp(lp, start=LpStart([(np.array([0, 1, 2]), np.array([0, 1, 2]))], NO_COLUMNS))
+    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
+    assert sol.x.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0]
+    # two chains in one block: rows 1 and 2 chain, row 0 stands alone
+    sol = solve_lp(lp, start=LpStart([(np.array([0, 1, 2]), np.array([3, 1, 2]))], NO_COLUMNS))
+    assert sol.phase1_pivots == 0
+    assert sol.objective_value == solve_lp(lp).objective_value == 0.0
+
+
+@pytest.mark.parametrize("link, rows", [(-2.0, [0, 1, 2]), (-1.0, [2, 1, 0])])
+def test_a_block_that_is_not_a_chain_is_refused(link, rows):
+    # an entry below the pivot that is not minus the pivot of its row, or a
+    # chain listed backwards (upper bidiagonal), sends the LP to phase 1
+    lp = chain_lp(link)
+    ref = solve_lp(lp)
+    sol = solve_lp(lp, start=LpStart([(np.array(rows), np.array(rows))], NO_COLUMNS))
+    assert sol.phase1_pivots == ref.phase1_pivots > 0
+    assert sol.x.tobytes() == ref.x.tobytes()
+
+
 def test_a_start_gives_every_row_one_basic_column():
     lp = LinearProgram([1.0, 1.0], a_eq=[[1.0, 0.0], [0.0, 1.0]], b_eq=[1.0, 1.0])
     for blocks in ([(np.array([0]), np.array([0]))],

@@ -91,7 +91,8 @@ def test_overloaded_agent_raises_with_id():
 
 def test_the_fixture_chain_starts_each_owner_warm_from_the_last(fixtures_dir, monkeypatch):
     # user 1 from the day's start, user 3 from user 1's optimal tableau by the
-    # dual simplex; passive user 2 runs no simplex and does not break the chain
+    # dual simplex, with no start built for it; passive user 2 runs no simplex
+    # and does not break the chain
     sc = load_scenario(fixtures_dir / "three_agent.json")
     cold = [solve_day(sc, [a], day_lp(sc, [a]))[1] for a in sc.users]
     solves = []
@@ -99,10 +100,10 @@ def test_the_fixture_chain_starts_each_owner_warm_from_the_last(fixtures_dir, mo
 
     def recording(lp, start=None, warm=None):
         sol = solve_lp(lp, start=start, warm=warm)
-        solves.append((sol.phase1_pivots, sol.phase2_pivots, warm is not None))
+        solves.append((sol.phase1_pivots, sol.phase2_pivots, start is not None, warm is not None))
         return sol
 
     monkeypatch.setattr(centralized, "solve_lp", recording)
     d = disagreement_point(sc)
-    assert solves == [(0, 24, False), (0, 27, True)]
+    assert solves == [(0, 15, True, False), (0, 28, False, True)]
     assert np.allclose(d, cold, rtol=1e-12, atol=0.0)
