@@ -119,12 +119,31 @@ def assert_matches_reference(sc, rounds):
         assert np.abs(np.array(getattr(res.trace, name)) - expected).max() <= 1e-9, name
     for i, p in res.schedule.desd_power_kw.items():
         assert np.abs(p - buses[i].p_desd).max() <= 1e-9
+    # every bus's own state, not only what the trace and the schedule show
+    state = CodesState(sc, cfg)
+    for _ in range(rounds):
+        state.advance()
+    for row, i in enumerate(sc.graph.node_ids):
+        assert np.abs(state.lam_hat[row] - buses[i].lam_hat).max() <= 1e-9, i
+        assert np.abs(state.dp_hat[row] - buses[i].dp_hat).max() <= 1e-9, i
+    for k, i in enumerate(state.active_ids):
+        assert np.abs(state.mu1[k] - buses[i].mu1).max() <= 1e-9, i
+        assert np.abs(state.mu2[k] - buses[i].mu2).max() <= 1e-9, i
+    grid = next(a.id for a in sc.agents if a.role == "grid")
+    assert np.abs(state.p_buy - buses[grid].p_buy).max() <= 1e-9
+    assert np.abs(state.p_sell - buses[grid].p_sell).max() <= 1e-9
 
 
 def test_array_solver_matches_per_bus_reference(fixtures_dir):
     # the reference's buses tell their neighbors nothing but two estimates
     assert {f.name for f in dataclasses.fields(Message)} == {"lam_hat", "dp_hat"}
     assert_matches_reference(load_scenario(fixtures_dir / "three_agent.json"), 2000)
+
+
+def test_array_solver_matches_per_bus_reference_off_hourly_steps(fixtures_dir):
+    # every other pin runs dt = 1, where a misplaced dt would not show
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    assert_matches_reference(dataclasses.replace(sc, dt_hours=0.25), 2000)
 
 
 def test_array_solver_matches_per_bus_reference_on_41_buses():
