@@ -8,19 +8,20 @@ consensus exchange that mixes the neighbors' estimates, feeds in the change
 of its own imbalance (dynamic average tracking), and walks the price
 estimate by an integral term until imbalance dies out.
 
-A round runs every bus at once: all buses' decision variables form one
-primal block, and their estimates one (n_bus, 2T) array [lam_hat | dp_hat]
-mixed by one Metropolis product `W @ est`.  With w_ii = 1 - sum_j w_ij this
-is each bus adding w_ij * (x_j - x_i) over its neighbors; w_ij is zero off
-the edges, so W's sparsity pattern is the graph.  The imbalance estimates
-always sum to the true system imbalance, so driving them to zero balances
-the system.
+A round runs every bus at once, as a few products with matrices built once.
+All buses' decision variables form one primal block, and their estimates one
+(2 n_bus, T) array, lam_hat rows over dp_hat rows, mixed by [[W, xi3 I], [0, W]]:
+W is Metropolis, so each bus adds w_ij * (x_j - x_i) over its neighbors and
+W's sparsity pattern is the graph, and xi3 I adds a bus's own imbalance estimate
+to its own price.  The imbalance estimates always sum to the true system
+imbalance, so driving them to zero balances the system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -60,83 +61,83 @@ class CodesConfig:
 
 
 class CodesState:
-    """Every bus's iterate.
+    """Every bus's iterate, and the fixed matrices that advance it.
 
     `x` is the primal block, (2 + n_active, T): grid buy, grid sell, then one
-    dispatch row per battery, with column-vector boxes `lo`, `hi` and steps
-    `xi1`.  `route` ties each row to its bus (+1 buy and dispatch, -1 sell):
-    `route @ price` prices the rows, `route.T @ x` is each bus's own supply.
-    `est` is (n_bus, 2T), [lam_hat | dp_hat], rows in `graph.node_ids` order;
-    `mu` is (2, n_active, T), [mu1, mu2].  The named parts are views.
+    dispatch row per battery, in column-vector boxes `lo`, `hi`; `route` ties
+    each row to its bus (+1 buy and dispatch, -1 sell).  `est` is (2 n_bus, T),
+    lam_hat rows over dp_hat rows in `graph.node_ids` order, and `mix` is
+    [[W, xi3 I], [0, W]]; `price`, xi1 [route | rho route], steps each row by its
+    bus's price.  `mu` is (n_active, 2T), [mu1 | mu2]; `drain`, dt [-U | U] with
+    U upper triangular ones, maps dispatch to the energy slacks and `push`,
+    xi1_desd drain.T, their pressure back.  The named parts are views.
     """
 
     p_buy = property(lambda self: self.x[0])
     p_sell = property(lambda self: self.x[1])
     p_desd = property(lambda self: self.x[2:])
-    lam_hat = property(lambda self: self.est[:, :self.t])    # price estimates
-    dp_hat = property(lambda self: self.est[:, self.t:])     # imbalance estimates
-    mu1 = property(lambda self: self.mu[0])                  # stored energy above emax
-    mu2 = property(lambda self: self.mu[1])                  # stored energy below emin
+    lam_hat = property(lambda self: self.est[:len(self.base)])    # price estimates
+    dp_hat = property(lambda self: self.est[len(self.base):])     # imbalance estimates
+    mu1 = property(lambda self: self.mu[:, :self.t])              # stored energy above emax
+    mu2 = property(lambda self: self.mu[:, self.t:])              # stored energy below emin
 
     def __init__(self, scenario: Scenario, config: CodesConfig):
         agents = scenario.agents   # graph.node_ids order: both are sorted by id
         grid_row = next(k for k, a in enumerate(agents) if a.role == ROLE_GRID)
         active_rows = np.flatnonzero([a.role == ROLE_ACTIVE for a in agents])
         self.active_ids = [agents[k].id for k in active_rows]
-        self.config, self.weights, self.dt = config, scenario.graph.weights, scenario.dt_hours
-        self.t = t = scenario.horizon
+        n, rows, t, dt = len(agents), 2 + len(active_rows), scenario.horizon, scenario.dt_hours
         # per row of x: stored-energy box (none on the grid rows) and power box
         boxes = np.array([(0.0, 0.0, 0.0, 0.0, scenario.p_grid_max_kw)] * 2 + [
             (d.e0_kwh, d.emin_kwh, d.emax_kwh, -d.p_charge_max_kw, d.p_discharge_max_kw)
             for d in (agents[k].desd for k in active_rows)])
-        e0, emin, emax, self.lo, self.hi = boxes.T[:, :, None]
-        self.xi1 = np.array([config.xi1_grid] * 2 + [config.xi1_desd] * len(active_rows))[:, None]
-        self.box = np.stack((e0 - emax, emin - e0))[:, 2:]   # the slacks before any drain
-        self.drain_dt = np.array([-1.0, 1.0])[:, None, None] * self.dt
-        bus = np.eye(len(agents))
-        self.route = np.vstack((bus[grid_row], -bus[grid_row], bus[active_rows]))
+        self.lo, self.hi = boxes.T[3:, :, None]
+        self.box = np.repeat(boxes[2:, :2] - boxes[2:, [2, 0]], t, axis=1)   # e0 - emax, emin - e0
+        self.drain = (np.arange(t)[:, None] <= np.arange(2 * t) % t) * np.repeat((-dt, dt), t)
+        self.push = config.xi1_desd * self.drain.T
+        self.route = np.eye(n)[[grid_row, grid_row, *active_rows]]
+        self.route[1] *= -1.0
+        xi1 = np.array([config.xi1_grid] * 2 + [config.xi1_desd] * (rows - 2))[:, None]
+        self.price = xi1 * np.hstack((self.route, config.rho * self.route))
+        self.mix = np.zeros((2 * n, 2 * n))
+        self.mix[:n, :n] = self.mix[n:, n:] = scenario.graph.weights
+        np.fill_diagonal(self.mix[:n, n:], config.xi3)
         # the gradient's fixed part: what a kW bought costs, or sold earns, per step
-        tariff = np.array((scenario.tariff.buy, scenario.tariff.sell)) * [[self.dt], [-self.dt]]
-        self.tariff = np.vstack((tariff, np.zeros((len(active_rows), t))))
+        self.tariff = np.zeros((rows, t))
+        self.tariff[:2] = np.array((scenario.tariff.buy, scenario.tariff.sell)) * [[dt], [-dt]]
+        self.step_cost = xi1 * self.tariff
         # each bus's demand net of renewables (passive and grid buses have none);
         # less its own supply `route.T @ x`, it is what the bus asks of the rest
-        self.base = np.array([np.array(a.demand_kw) - np.array(a.renewable_kw) for a in agents])
-        self.x, self.mu = np.zeros_like(self.tariff), np.zeros((2, len(active_rows), t))
-        self.est = np.zeros((len(agents), 2 * t))
+        flat = chain.from_iterable(a.demand_kw + a.renewable_kw for a in agents)
+        self.base = np.subtract(*np.fromiter(flat, float, 2 * n * t).reshape(n, 2, t).swapaxes(0, 1))
+        self.config, self.t, self.x, self.mu = config, t, np.zeros((rows, t)), np.zeros((rows - 2, 2 * t))
         self.refresh_slacks()
-        # imbalance estimates start at each bus's own imbalance, which
-        # anchors their sum to the true total for the rest of the run
-        self.dp_local = self.base.copy()
-        self.dp_hat[:] = self.dp_local
+        # imbalance estimates start at each bus's own, anchoring their sum to the true total
+        self.est, self.dp_local = np.concatenate((np.zeros_like(self.base), self.base)), self.base
 
     def refresh_slacks(self) -> None:
-        """`slack`, (2, n_active, T): signed overshoot of each stored-energy
-        box per step, in kWh, above emax and below emin.  Positive means
-        violated; keeping the sign lets the multipliers relax once the box
-        stops binding, which kills boundary chatter.  A round leaves its new
-        dispatch's slacks behind, so call this after moving `p_desd` by hand."""
-        self.slack = self.box + self.drain_dt * np.add.accumulate(self.x[2:], axis=1)
+        """`slack`, (n_active, 2T): signed overshoot of each stored-energy box per
+        step, in kWh, above emax then below emin.  Positive means violated; the sign
+        lets the multipliers relax once the box stops binding, which kills boundary
+        chatter.  A round leaves its slacks behind; call this after moving `p_desd`."""
+        self.slack = self.box + self.x[2:] @ self.drain
 
     def advance(self) -> float:
         """One synchronous round of every bus; returns the largest primal move."""
-        cfg, x, est, t = self.config, self.x, self.est, self.t
-        price = est[:, :t] + cfg.rho * est[:, t:]
-        grad = self.tariff - self.route @ price
-        # each step's dispatch shifts every later stored-energy level, so the
-        # box pressure accumulates from the end of the horizon backwards
-        pressure = np.maximum(self.mu + cfg.rho * self.slack, 0.0)
-        pressure = pressure[1] - pressure[0]
-        grad[2:] += self.dt * np.add.accumulate(pressure[:, ::-1], axis=1)[:, ::-1]
-        self.x = new_x = np.minimum(np.maximum(x - self.xi1 * grad, self.lo), self.hi)
-        moved = abs(new_x - x).max()
+        cfg, x = self.config, self.x
+        new_x = x + (self.price @ self.est - self.step_cost)
+        # a step's dispatch shifts every later stored energy: box pressure sums backwards
+        new_x[2:] -= np.maximum(self.mu + cfg.rho * self.slack, 0.0) @ self.push
+        np.maximum(new_x, self.lo, out=new_x)
+        np.minimum(new_x, self.hi, out=new_x)
+        self.x = new_x
         self.refresh_slacks()
         np.maximum(self.mu + cfg.xi2 * self.slack, 0.0, out=self.mu)
         fresh = self.base - self.route.T @ new_x
-        self.est = mixed = self.weights @ est
-        mixed[:, :t] += cfg.xi3 * est[:, t:]
-        mixed[:, t:] += fresh - self.dp_local
+        self.est = mixed = self.mix @ self.est
+        mixed[len(fresh):] += fresh - self.dp_local
         self.dp_local = fresh
-        return float(moved)
+        return float(abs(new_x - x).max())
 
 
 @dataclass
@@ -162,15 +163,14 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     if config is None:
         config = CodesConfig.from_scenario(scenario)
     state = CodesState(scenario, config)
-    # per round: J_est, max imbalance, disagreement, step norm; grown as rounds run
-    rows = np.empty((min(config.max_iters, 1024), 4))
+    rows = np.empty((min(config.max_iters, 1024), 4))   # one per round, grown as rounds run
     for k in range(config.max_iters):
         if k == len(rows):
             rows = np.concatenate((rows, np.empty_like(rows)))
         step_norm = state.advance()
         max_imbalance = abs(state.dp_local.sum(axis=0)).max()
         dp_hat = state.dp_hat
-        rows[k] = (np.vdot(state.tariff[:2], state.x[:2]), max_imbalance,
+        rows[k] = (np.vdot(state.tariff, state.x), max_imbalance,
                    (dp_hat.max(axis=0) - dp_hat.min(axis=0)).max(), step_norm)
         converged = bool(max_imbalance < config.tol_balance_kw and step_norm < config.tol_step)
         if converged:
