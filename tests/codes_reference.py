@@ -2,7 +2,8 @@
 
 Every bus keeps its own variables and, once per round, reads nothing but the
 Messages its graph neighbors sent.  `coopgrid.codes` runs the same rounds on
-stacked arrays with one `W @ X` mix; the tests pin it to this form.
+stacked arrays, mixing with one [[W, xi3 I], [0, W]] product; the tests pin
+it to this form.
 """
 
 from __future__ import annotations

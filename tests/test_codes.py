@@ -137,12 +137,9 @@ def assert_matches_reference(sc, rounds):
 def test_array_solver_matches_per_bus_reference(fixtures_dir):
     # the reference's buses tell their neighbors nothing but two estimates
     assert {f.name for f in dataclasses.fields(Message)} == {"lam_hat", "dp_hat"}
-    assert_matches_reference(load_scenario(fixtures_dir / "three_agent.json"), 2000)
-
-
-def test_array_solver_matches_per_bus_reference_off_hourly_steps(fixtures_dir):
-    # every other pin runs dt = 1, where a misplaced dt would not show
     sc = load_scenario(fixtures_dir / "three_agent.json")
+    assert_matches_reference(sc, 2000)
+    # every other pin runs dt = 1, where a misplaced dt would not show
     assert_matches_reference(dataclasses.replace(sc, dt_hours=0.25), 2000)
 
 
