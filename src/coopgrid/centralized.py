@@ -259,15 +259,16 @@ def check_schedule(scenario: Scenario, schedule: PowerSchedule,
 def csv_text(header, rows) -> str:
     """The one CSV format of every artifact.
 
-    Ints and strings are written as they are, every other value as
-    repr(float(v)), which reads back as the same float: re-runs are
-    bit-identical and readers lose no precision.
+    Ints, strings and Python floats are written as they are (csv writes a
+    float as its repr), every other value as repr(float(v)), which reads back
+    as the same float: re-runs are bit-identical and readers lose no precision.
     """
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)
-    writer.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
-                     for row in rows)
+    # a numpy float64 is a float too, but its repr is not a float's
+    writer.writerows([v if type(v) is float or isinstance(v, (int, str)) else repr(float(v))
+                      for v in row] for row in rows)
     return out.getvalue()
 
 

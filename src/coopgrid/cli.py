@@ -4,9 +4,9 @@ Exit codes are part of the interface:
   0  success
   2  scenario or argument validation failure (nothing is written)
   3  infeasible scenario
-  4  solver or consensus did not converge (artifacts are still written, except
-     when allocate --distributed runs out of consensus rounds: with no split
-     there is nothing to write)
+  4  solver or consensus did not converge, or diverged (artifacts are still
+     written, except when allocate --distributed runs out of consensus rounds:
+     with no split there is nothing to write)
   5  bargaining failed: cooperation does not beat standing alone
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
@@ -221,8 +221,8 @@ def cmd_compare(args) -> int:
     print(f"max schedule deviation = {max_dev:.4f} kW "
           f"(per-agent splits may differ at equal cost)")
     print(f"iterations = {result.iterations}  converged = {result.converged}")
-    if gap > args.tol:
-        if not result.converged:
+    if not gap <= args.tol:   # a run that diverged has a NaN gap, and never converged
+        if not (result.converged and np.isfinite(gap)):
             return _fail(EXIT_NO_CONVERGENCE,
                          f"no convergence and cost gap {gap:.3e} above {args.tol:g}")
         return _fail(EXIT_GAP, f"cost gap {gap:.3e} above tolerance {args.tol:g}")

@@ -15,6 +15,10 @@ W is Metropolis, so each bus adds w_ij * (x_j - x_i) over its neighbors and
 W's sparsity pattern is the graph, and xi3 I adds a bus's own imbalance estimate
 to its own price.  The imbalance estimates always sum to the true system
 imbalance, so driving them to zero balances the system.
+
+Rounds write their iterates into history buffers of CHUNK + 1 rows, and the
+trace and the convergence test read a whole chunk of rounds at once: a few
+reductions over the buffers instead of a few per round.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import numpy as np
 
 from .centralized import PowerSchedule, net_exchange, schedule_cost
 from .scenario import ROLE_ACTIVE, ROLE_GRID, Scenario
+
+CHUNK = 32   # rounds between two reads of the trace; the history buffers hold CHUNK + 1
 
 
 @dataclass
@@ -61,7 +67,7 @@ class CodesConfig:
 
 
 class CodesState:
-    """Every bus's iterate, and the fixed matrices that advance it.
+    """Every bus's iterate, its recent rounds, and the fixed matrices that advance it.
 
     `x` is the primal block, (2 + n_active, T): grid buy, grid sell, then one
     dispatch row per battery, in column-vector boxes `lo`, `hi`; `route` ties
@@ -71,8 +77,18 @@ class CodesState:
     bus's price.  `mu` is (n_active, 2T), [mu1 | mu2]; `drain`, dt [-U | U] with
     U upper triangular ones, maps dispatch to the energy slacks and `push`,
     xi1_desd drain.T, their pressure back.  The named parts are views.
+
+    `x` and `est` are row `k` of the history buffers `xs`, (CHUNK + 1, 2 +
+    n_active, T), and `ests`, (CHUNK + 1, 2 n_bus, T): a round reads row k and
+    writes row k + 1 in place, after copying row CHUNK back to row 0 once it is
+    full.  So the buffers never grow, and a view names the current row: copy
+    one to keep it.
+    `dp_local` is each bus's own imbalance as the estimates last saw it, so a
+    round feeds them its change, a move made to `x` between rounds included.
     """
 
+    x = property(lambda self: self.xs[self.k])
+    est = property(lambda self: self.ests[self.k])
     p_buy = property(lambda self: self.x[0])
     p_sell = property(lambda self: self.x[1])
     p_desd = property(lambda self: self.x[2:])
@@ -110,10 +126,11 @@ class CodesState:
         # less its own supply `route.T @ x`, it is what the bus asks of the rest
         flat = chain.from_iterable(a.demand_kw + a.renewable_kw for a in agents)
         self.base = np.subtract(*np.fromiter(flat, float, 2 * n * t).reshape(n, 2, t).swapaxes(0, 1))
-        self.config, self.t, self.x, self.mu = config, t, np.zeros((rows, t)), np.zeros((rows - 2, 2 * t))
+        self.config, self.t, self.k, self.mu = config, t, 0, np.zeros((rows - 2, 2 * t))
+        self.xs, self.ests = np.zeros((CHUNK + 1, rows, t)), np.zeros((CHUNK + 1, 2 * n, t))
         self.refresh_slacks()
         # imbalance estimates start at each bus's own, anchoring their sum to the true total
-        self.est, self.dp_local = np.concatenate((np.zeros_like(self.base), self.base)), self.base
+        self.ests[0, n:] = self.dp_local = self.base
 
     def refresh_slacks(self) -> None:
         """`slack`, (n_active, 2T): signed overshoot of each stored-energy box per
@@ -122,22 +139,47 @@ class CodesState:
         chatter.  A round leaves its slacks behind; call this after moving `p_desd`."""
         self.slack = self.box + self.x[2:] @ self.drain
 
-    def advance(self) -> float:
-        """One synchronous round of every bus; returns the largest primal move."""
-        cfg, x = self.config, self.x
-        new_x = x + (self.price @ self.est - self.step_cost)
+    def _round(self) -> None:
+        """One synchronous round of every bus: reads history row k, writes row k + 1."""
+        if self.k == CHUNK:
+            self.xs[0], self.ests[0], self.k = self.x, self.est, 0
+        cfg, k = self.config, self.k
+        new_x, new_est = self.xs[k + 1], self.ests[k + 1]
+        np.matmul(self.price, self.ests[k], out=new_x)
+        new_x -= self.step_cost
+        new_x += self.xs[k]
         # a step's dispatch shifts every later stored energy: box pressure sums backwards
         new_x[2:] -= np.maximum(self.mu + cfg.rho * self.slack, 0.0) @ self.push
         np.maximum(new_x, self.lo, out=new_x)
         np.minimum(new_x, self.hi, out=new_x)
-        self.x = new_x
+        self.k = k + 1
         self.refresh_slacks()
         np.maximum(self.mu + cfg.xi2 * self.slack, 0.0, out=self.mu)
+        np.matmul(self.mix, self.ests[k], out=new_est)
         fresh = self.base - self.route.T @ new_x
-        self.est = mixed = self.mix @ self.est
-        mixed[len(fresh):] += fresh - self.dp_local
+        new_est[len(fresh):] += fresh - self.dp_local
         self.dp_local = fresh
-        return float(abs(new_x - x).max())
+
+    def advance(self) -> float:
+        """One synchronous round of every bus; returns the largest primal move."""
+        self._round()
+        return float(abs(self.x - self.xs[self.k - 1]).max())
+
+    def run_chunk(self, rounds: int) -> np.ndarray:
+        """Run `rounds` <= CHUNK rounds into history rows 1 to `rounds`, and
+        return their trace rows, as `run_codes` records them."""
+        self.xs[0], self.ests[0], self.k = self.x, self.est, 0
+        for _ in range(rounds):
+            self._round()
+        xs = self.xs[1:rounds + 1]
+        # bus-major, so that the spread over buses reduces over whole rows
+        dp = np.ascontiguousarray(self.ests[1:rounds + 1, len(self.base):].swapaxes(0, 1))
+        # the buses' own imbalances sum to the true one: total demand less supply
+        imbalance = self.base.sum(axis=0) - self.route.sum(axis=1) @ xs
+        return np.column_stack(((xs[:, :2] * self.tariff[:2]).sum(axis=(1, 2)),
+                                abs(imbalance).max(axis=1),
+                                (dp.max(axis=0) - dp.min(axis=0)).max(axis=1),
+                                abs(xs - self.xs[:rounds]).max(axis=(1, 2))))
 
 
 @dataclass
@@ -158,29 +200,31 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     Never raises on non-convergence: the partial schedule and the full trace
     come back with converged=False so the caller can diagnose.  The trace is a
     record array, one row per round, of four fields: the round's grid bill,
-    largest imbalance, imbalance-estimate disagreement and primal step.
+    largest imbalance, imbalance-estimate disagreement and primal step.  The
+    first round that passes the test, or goes non-finite, ends the run with its
+    own schedule; the rest of its chunk is dropped.
     """
     if config is None:
         config = CodesConfig.from_scenario(scenario)
-    state = CodesState(scenario, config)
-    rows = np.empty((min(config.max_iters, 1024), 4))   # one per round, grown as rounds run
-    for k in range(config.max_iters):
-        if k == len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows)))
-        step_norm = state.advance()
-        max_imbalance = abs(state.dp_local.sum(axis=0)).max()
-        dp_hat = state.dp_hat
-        rows[k] = (np.vdot(state.tariff, state.x), max_imbalance,
-                   (dp_hat.max(axis=0) - dp_hat.min(axis=0)).max(), step_norm)
-        converged = bool(max_imbalance < config.tol_balance_kw and step_norm < config.tol_step)
-        if converged:
+    state, chunks, left = CodesState(scenario, config), [], config.max_iters
+    while left:
+        rows = state.run_chunk(min(CHUNK, left))
+        left -= len(rows)
+        passed = (rows[:, 1] < config.tol_balance_kw) & (rows[:, 3] < config.tol_step)
+        stop = np.flatnonzero(passed | ~np.isfinite(rows).all(axis=1))
+        if stop.size:
+            chunks.append(rows[:stop[0] + 1])
+            converged, final = bool(passed[stop[0]]), state.xs[stop[0] + 1]
             break
-    trace = np.rec.fromarrays(rows[:k + 1].T, names=(
+        chunks.append(rows)
+    else:
+        converged, final = False, state.x
+    trace = np.rec.fromarrays(np.concatenate(chunks).T, names=(
         "j_est", "max_imbalance_kw", "consensus_disagreement", "primal_step_norm"))
 
-    buy, sell = net_exchange(state.p_buy, state.p_sell)
+    buy, sell = net_exchange(final[0], final[1])
     schedule = PowerSchedule(
         grid_buy_kw=buy, grid_sell_kw=sell,
-        desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, state.p_desd)})
+        desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, final[2:])})
     return CodesResult(schedule=schedule, j=schedule_cost(scenario, schedule),
                        converged=converged, trace=trace)

@@ -441,6 +441,15 @@ def test_csv_text_writes_ints_and_strings_as_they_are_and_floats_by_repr():
     assert np.array(back).tobytes() == np.array(floats).tobytes()   # -0.0 keeps its sign
 
 
+def test_csv_text_bytes_for_python_and_numpy_numbers():
+    # Python floats go to csv as they are, numpy's through repr(float(v)): same bytes
+    values = [-0.0, 1e-05, 1e+16, 0.1 + 0.2]
+    text = csv_text(["k", "n", *"abcdefgh"], [[3, 2**70, *values, *map(np.float64, values)]])
+    assert text == ("k,n,a,b,c,d,e,f,g,h\r\n3,1180591620717411303424,"
+                    "-0.0,1e-05,1e+16,0.30000000000000004,"
+                    "-0.0,1e-05,1e+16,0.30000000000000004\r\n")
+
+
 def test_schedule_csv_round_trip(tmp_path, fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     schedule, _ = solve_social(sc)

@@ -359,6 +359,20 @@ def test_compare_divergent_steps_reports_nonconvergence(fixtures_dir, tmp_path):
     assert len(read_csv(out / "trace_codes.csv")) == 400
 
 
+def test_compare_fails_a_run_that_diverges(fixtures_dir, tmp_path, capsys):
+    # a NaN cost gap is not within tolerance
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    codes = {**dict(sc.codes), "xi3": 1e308, "max_iters": 300.0}
+    wild = write_scenario(tmp_path / "wild.json",
+                          dataclasses.replace(sc, codes=tuple(codes.items())))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main(["compare", "--scenario", str(wild), "--out-dir", str(out)])
+    assert code == 4
+    assert "J_codes = nan" in capsys.readouterr().out
+    assert len(read_csv(out / "trace_codes.csv")) == 2
+
+
 def test_infeasible_scenario_exit_code(tmp_path):
     sc = gen_scenario(GenSpec(users=(2, 2), active=(0, 0), horizon=(3, 3)), 0)
     squeezed = dataclasses.replace(sc, p_grid_max_kw=0.01)

@@ -5,7 +5,7 @@ import pytest
 
 from codes_reference import Message, run_reference
 from coopgrid.centralized import check_schedule, solve_social
-from coopgrid.codes import CodesConfig, CodesState, run_codes
+from coopgrid.codes import CHUNK, CodesConfig, CodesState, run_codes
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 from coopgrid.scenario import AgentSpec, Scenario, Tariff, load_scenario
@@ -111,6 +111,8 @@ def test_emitted_exchange_is_netted():
 
 
 def assert_matches_reference(sc, rounds):
+    # the pins run past the end of the first chunk, so the history buffers wrap
+    assert rounds > CHUNK
     cfg = dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=rounds, tol_step=0.0)
     res = run_codes(sc, cfg)
     buses, trace = run_reference(sc, cfg, rounds)
@@ -228,12 +230,61 @@ def test_trace_rows_match_iterations(fixtures_dir):
                                      "consensus_disagreement", "primal_step_norm")
 
 
+@pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_trace_rows_match_iterations_at_chunk_boundaries(fixtures_dir, rounds):
+    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
+    res = run_codes(sc, CodesConfig(max_iters=rounds, tol_step=0.0))
+    assert res.iterations == len(res.trace) == rounds
+
+
+def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
+    # rounds run CHUNK at a time; the test that ends the run still reads every round
+    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
+    cfg = CodesConfig.from_scenario(sc)
+    res = run_codes(sc, cfg)
+    state, rows = CodesState(sc, cfg), []
+    for _ in range(cfg.max_iters):
+        step = state.advance()
+        imbalance = abs(state.dp_local.sum(axis=0)).max()
+        dp = state.dp_hat
+        rows.append((np.vdot(state.tariff, state.x), imbalance,
+                     (dp.max(axis=0) - dp.min(axis=0)).max(), step))
+        if imbalance < cfg.tol_balance_kw and step < cfg.tol_step:
+            break
+    assert res.converged
+    assert res.iterations == len(rows) == 18805
+    assert res.iterations % CHUNK != 0    # inside a chunk: its later rounds are dropped
+    assert np.abs(np.array(res.trace.tolist()) - rows).max() <= 1e-12
+    assert np.array_equal(res.schedule.desd_power_kw[1], state.p_desd[0])
+    assert np.array_equal(res.schedule.grid_buy_kw - res.schedule.grid_sell_kw,
+                          state.p_buy - state.p_sell)
+
+
+def test_diverging_run_stops_at_its_first_non_finite_round(fixtures_dir):
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    cfg = dataclasses.replace(CodesConfig.from_scenario(sc), xi3=1e308, max_iters=300)
+    with pytest.warns(RuntimeWarning):
+        res = run_codes(sc, cfg)
+    assert not res.converged
+    assert res.iterations == 2                   # not the whole budget
+    rows = np.array(res.trace.tolist())
+    assert np.isfinite(rows[0]).all()
+    assert not np.isfinite(rows[1]).any()
+
+
 def test_huge_iteration_cap_records_only_the_rounds_run(fixtures_dir):
     # the trace grows with the run, not with max_iters
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     res = run_codes(sc, dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=10**12))
     assert res.converged
     assert len(res.trace) == res.iterations
+
+
+def test_history_buffers_stay_small_whatever_the_iteration_cap():
+    spec = GenSpec(users=(40, 40), active=(20, 20), horizon=(24, 24), graph="ring")
+    state = CodesState(gen_scenario(spec, seed=1), CodesConfig(max_iters=10**12))
+    assert len(state.xs) == len(state.ests) == CHUNK + 1
+    assert state.xs.nbytes + state.ests.nbytes < 1e6
 
 
 def test_runs_are_deterministic(fixtures_dir):
