@@ -140,9 +140,10 @@ def cmd_solve(args) -> int:
                   "converged": True}
         print(f"centralized optimum J = {j:.6f}")
     write_run(args, sc, "solve", started, files, **fields)
-    if not fields["converged"]:
-        print("warning: stopped at the iteration cap before the "
-              "convergence test fired", file=sys.stderr)
+    if not fields["converged"]:   # only a distributed run can end unconverged
+        stop = ("at the iteration cap before the convergence test fired"
+                if result.iterations == config.max_iters else "when the run went non-finite")
+        print(f"warning: stopped {stop}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -371,6 +371,10 @@ def test_compare_fails_a_run_that_diverges(fixtures_dir, tmp_path, capsys):
     assert code == 4
     assert "J_codes = nan" in capsys.readouterr().out
     assert len(read_csv(out / "trace_codes.csv")) == 2
+    with pytest.warns(RuntimeWarning):
+        code = main(["solve", "--codes", "--scenario", str(wild), "--out-dir", str(tmp_path / "s")])
+    assert code == 4
+    assert "stopped when the run went non-finite" in capsys.readouterr().err
 
 
 def test_infeasible_scenario_exit_code(tmp_path):
