@@ -4,9 +4,9 @@ Exit codes are part of the interface:
   0  success
   2  scenario or argument validation failure (nothing is written)
   3  infeasible scenario
-  4  solver or consensus did not converge, or diverged (artifacts are still
-     written, except when allocate --distributed runs out of consensus rounds:
-     with no split there is nothing to write)
+  4  the distributed run ended iteration-cap or diverged, or consensus ran out
+     of rounds (artifacts are still written, except when allocate --distributed
+     runs out of consensus rounds: with no split there is nothing to write)
   5  bargaining failed: cooperation does not beat standing alone
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
@@ -39,7 +39,7 @@ from .allocation import (
     consumption_costs,
 )
 from .centralized import InfeasibleScenarioError, csv_text, schedule_csv_text, solve_social
-from .codes import CodesConfig, run_codes
+from .codes import run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
 from .graph import GraphError
 from .lp import LpError
@@ -63,6 +63,8 @@ EXIT_INTERNAL = 7
 
 TRACE_FIELDS = ("iter", "J_est", "max_imbalance_kw",
                 "consensus_disagreement", "primal_step_norm")
+STOPS = {"iteration-cap": "at the iteration cap before the convergence test fired",
+         "diverged": "when the run went non-finite"}   # how an unconverged run stopped
 
 
 def _fail(code: int, message: str) -> int:
@@ -86,7 +88,8 @@ def write_run(args, sc: Scenario, command: str, started: float, files: dict[str,
               **fields) -> None:
     """Write a run's artifacts, {file name: text}, then its report.json.
 
-    The report lists what was written under `schedule_files`.
+    The report lists what was written under `schedule_files`.  It is strict
+    JSON: a non-finite top-level number, a diverged run's cost, becomes null.
     """
     out_dir = Path(args.out_dir)
     paths = [out_dir / name for name in files]
@@ -96,7 +99,8 @@ def write_run(args, sc: Scenario, command: str, started: float, files: dict[str,
               "scenario_digest": scenario_digest(sc),
               "wall_time_s": time.perf_counter() - started,
               **fields, "schedule_files": sorted(map(str, paths))}
-    write_atomic(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
+    report = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in report.items()}
+    write_atomic(out_dir / "report.json", json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _check_out(path: Path) -> None:
@@ -115,9 +119,9 @@ def _solve_oracle(sc: Scenario):
     return schedule, j, {"schedule_centralized.csv": schedule_csv_text(sc, schedule)}
 
 
-def _solve_codes(sc: Scenario, config: CodesConfig):
+def _solve_codes(sc: Scenario):
     """A distributed run and its schedule and trace CSVs."""
-    result = run_codes(sc, config)
+    result = run_codes(sc)
     return result, {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
                     "trace_codes.csv": csv_text(TRACE_FIELDS, (
                         [k, *row] for k, row in enumerate(result.trace.tolist())))}
@@ -128,10 +132,10 @@ def cmd_solve(args) -> int:
     _check_out(Path(args.out_dir) / "report.json")
     sc = load_scenario(args.scenario)
     if args.codes:
-        config = CodesConfig.from_scenario(sc)
-        result, files = _solve_codes(sc, config)
-        fields = {"method": "codes", "j": result.j, "config": dataclasses.asdict(config),
-                  "iterations": result.iterations, "converged": result.converged}
+        result, files = _solve_codes(sc)
+        fields = {"method": "codes", "j": result.j, "config": dataclasses.asdict(result.config),
+                  "iterations": result.iterations, "converged": result.converged,
+                  "status": result.status}
         print(f"distributed schedule J = {result.j:.6f} "
               f"after {result.iterations} iterations")
     else:
@@ -141,9 +145,7 @@ def cmd_solve(args) -> int:
         print(f"centralized optimum J = {j:.6f}")
     write_run(args, sc, "solve", started, files, **fields)
     if not fields["converged"]:   # only a distributed run can end unconverged
-        stop = ("at the iteration cap before the convergence test fired"
-                if result.iterations == config.max_iters else "when the run went non-finite")
-        print(f"warning: stopped {stop}", file=sys.stderr)
+        print(f"warning: {result.status}: stopped {STOPS[result.status]}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -160,13 +162,8 @@ def cmd_allocate(args) -> int:
     _check_out(Path(args.out_dir) / "report.json")
     sc = load_scenario(args.scenario)
     selfish = disagreement_point(sc)
-    convergence_ok = True
-    if args.social_method == "codes":
-        result = run_codes(sc)
-        schedule, j = result.schedule, result.j
-        convergence_ok = result.converged
-    else:
-        schedule, j = solve_social(sc)
+    result = run_codes(sc) if args.social_method == "codes" else None
+    schedule, j = (result.schedule, result.j) if result else solve_social(sc)
     if args.distributed:
         try:
             report = allocate_distributed(sc, j, selfish, tol=args.graph_tol)
@@ -184,13 +181,13 @@ def cmd_allocate(args) -> int:
               method="distributed" if args.distributed else "centralized",
               social_method=args.social_method, j=j, epsilon=report.epsilon,
               rounds=report.rounds, netting_residual=netting_residual,
-              config={"graph_tol": args.graph_tol})
+              config={"graph_tol": args.graph_tol}, **({"status": result.status} if result else {}))
     print(f"{'agent':>6} {'D':>12} {'J_alloc':>12} {'consumption':>12}")
     for a, d, x, c in rows:
         print(f"{a:>6} {d:>12.6f} {x:>12.6f} {c:>12.6f}")
     print(f"social cost J = {j:.6f}, per-user saving epsilon = {report.epsilon:.6f}")
-    if not convergence_ok:
-        print("warning: social cost comes from a non-converged run", file=sys.stderr)
+    if result and not result.converged:
+        print(f"warning: social cost comes from a run that ended {result.status}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -201,8 +198,7 @@ def cmd_compare(args) -> int:
     _check_out(Path(args.out_dir) / "report.json")
     sc = load_scenario(args.scenario)
     oracle_schedule, j_oracle, files = _solve_oracle(sc)
-    config = CodesConfig.from_scenario(sc)
-    result, codes_files = _solve_codes(sc, config)
+    result, codes_files = _solve_codes(sc)
     files.update(codes_files)
     gap = abs(result.j - j_oracle) / abs(j_oracle) if j_oracle != 0 else abs(result.j)
 
@@ -216,16 +212,17 @@ def cmd_compare(args) -> int:
     write_run(args, sc, "compare", started, files,
               j_codes=result.j, j_oracle=j_oracle, rel_gap=gap, tol=args.tol,
               max_schedule_deviation_kw=max_dev, iterations=result.iterations,
-              converged=result.converged, config=dataclasses.asdict(config))
+              converged=result.converged, status=result.status,
+              config=dataclasses.asdict(result.config))
     print(f"J_codes = {result.j:.6f}  J_oracle = {j_oracle:.6f}  "
           f"rel_gap = {gap:.3e} (tol {args.tol:g})")
     print(f"max schedule deviation = {max_dev:.4f} kW "
           f"(per-agent splits may differ at equal cost)")
-    print(f"iterations = {result.iterations}  converged = {result.converged}")
-    if not gap <= args.tol:   # a run that diverged has a NaN gap, and never converged
-        if not (result.converged and np.isfinite(gap)):
+    print(f"iterations = {result.iterations}  status = {result.status}")
+    if not gap <= args.tol:   # a run that diverged has a NaN gap
+        if not result.converged:
             return _fail(EXIT_NO_CONVERGENCE,
-                         f"no convergence and cost gap {gap:.3e} above {args.tol:g}")
+                         f"run ended {result.status} with cost gap {gap:.3e} above {args.tol:g}")
         return _fail(EXIT_GAP, f"cost gap {gap:.3e} above tolerance {args.tol:g}")
     return EXIT_OK
 
@@ -243,7 +240,6 @@ def cmd_weights(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = load_scenario(args.scenario)
-    CodesConfig.from_scenario(sc)   # the same solver settings check as solve --codes
     print(f"OK {scenario_digest(sc)}")
     return EXIT_OK
 

@@ -23,47 +23,15 @@ reductions over the buffers instead of a few per round.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .centralized import PowerSchedule, net_exchange, schedule_cost
-from .scenario import ROLE_ACTIVE, ROLE_GRID, Scenario
+from .scenario import ROLE_ACTIVE, ROLE_GRID, CodesConfig, Scenario
 
 CHUNK = 32   # rounds between two reads of the trace; the history buffers hold CHUNK + 1
-
-
-@dataclass
-class CodesConfig:
-    rho: float = 0.5            # quadratic penalty weight
-    xi1_grid: float = 5e-3      # primal step, grid exchange block
-    xi1_desd: float = 5e-3      # primal step, storage blocks
-    xi2: float = 5e-2           # multiplier step for the energy box
-    xi3: float = 0.1            # integral gain on the price estimate
-    max_iters: int = 20000
-    tol_balance_kw: float = 1e-3
-    tol_step: float = 1e-6
-
-    def __post_init__(self):
-        if not (math.isfinite(self.max_iters) and self.max_iters == int(self.max_iters) >= 1):
-            raise ValueError(f"codes.max_iters must be an integer >= 1, got {self.max_iters!r}")
-        self.max_iters = int(self.max_iters)
-        for name in ("rho", "xi1_grid", "xi1_desd", "xi2", "xi3", "tol_balance_kw", "tol_step"):
-            value, tolerance = getattr(self, name), name.startswith("tol_")
-            if not (math.isfinite(value) and (value >= 0 if tolerance else value > 0)):
-                raise ValueError(f"codes.{name} must be finite and "
-                                 f"{'nonnegative' if tolerance else 'positive'}, got {value!r}")
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "CodesConfig":
-        """Defaults overridden by the scenario's own solver settings, if any."""
-        known = {f.name for f in fields(cls)}
-        for key, _ in scenario.codes:
-            if key not in known:
-                raise ValueError(f"unknown solver setting {key!r} in scenario")
-        return cls(**dict(scenario.codes))
 
 
 class CodesState:
@@ -186,23 +154,24 @@ class CodesState:
 class CodesResult:
     schedule: PowerSchedule
     j: float
-    converged: bool
+    status: str             # how the run stopped: "converged", "iteration-cap" or "diverged"
+    config: CodesConfig     # the settings it ran with
     trace: np.recarray
 
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
+    converged = property(lambda self: self.status == "converged")
+    iterations = property(lambda self: len(self.trace))
 
 
 def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesResult:
     """Iterate the distributed scheme until balance and primal rest, or give up.
 
     Never raises on non-convergence: the partial schedule and the full trace
-    come back with converged=False so the caller can diagnose.  The trace is a
-    record array, one row per round, of four fields: the round's grid bill,
-    largest imbalance, imbalance-estimate disagreement and primal step.  The
-    first round that passes the test, or goes non-finite, ends the run with its
-    own schedule; the rest of its chunk is dropped.
+    come back so the caller can diagnose.  The trace is a record array, one
+    row per round: the round's grid bill, largest imbalance, imbalance-estimate
+    disagreement and primal step.  `status` says how the run stopped: the first
+    round that passes the test ("converged") or goes non-finite ("diverged")
+    ends it with its own schedule, dropping the rest of its chunk; or else
+    `max_iters` rounds ran ("iteration-cap").
     """
     if config is None:
         config = CodesConfig.from_scenario(scenario)
@@ -214,11 +183,12 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         stop = np.flatnonzero(passed | ~np.isfinite(rows).all(axis=1))
         if stop.size:
             chunks.append(rows[:stop[0] + 1])
-            converged, final = bool(passed[stop[0]]), state.xs[stop[0] + 1]
+            status = "converged" if passed[stop[0]] else "diverged"
+            final = state.xs[stop[0] + 1]
             break
         chunks.append(rows)
     else:
-        converged, final = False, state.x
+        status, final = "iteration-cap", state.x
     trace = np.rec.fromarrays(np.concatenate(chunks).T, names=(
         "j_est", "max_imbalance_kw", "consensus_disagreement", "primal_step_norm"))
 
@@ -227,4 +197,4 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         grid_buy_kw=buy, grid_sell_kw=sell,
         desd_power_kw={i: p.copy() for i, p in zip(state.active_ids, final[2:])})
     return CodesResult(schedule=schedule, j=schedule_cost(scenario, schedule),
-                       converged=converged, trace=trace)
+                       status=status, config=config, trace=trace)

@@ -2,7 +2,8 @@
 
 A scenario bundles everything one day-ahead run needs: the horizon and step
 width, the buy/sell tariff, the point of common coupling limit, one agent per
-bus (exactly one of them the grid interface) and the communication graph.
+bus (exactly one of them the grid interface), the communication graph and
+the distributed solver's settings, checked with the rest when it is loaded.
 
 Units are fixed by field name: kW for power, kWh for energy, hours for time,
 currency units per kWh for prices.  Sign convention for storage: positive
@@ -48,6 +49,37 @@ class DesdSpec:
     p_discharge_max_kw: float
 
 
+@dataclass
+class CodesConfig:
+    rho: float = 0.5            # quadratic penalty weight
+    xi1_grid: float = 5e-3      # primal step, grid exchange block
+    xi1_desd: float = 5e-3      # primal step, storage blocks
+    xi2: float = 5e-2           # multiplier step for the energy box
+    xi3: float = 0.1            # integral gain on the price estimate
+    max_iters: int = 20000
+    tol_balance_kw: float = 1e-3
+    tol_step: float = 1e-6
+
+    def __post_init__(self):
+        if not (math.isfinite(self.max_iters) and self.max_iters == int(self.max_iters) >= 1):
+            raise ScenarioValidationError(
+                f"codes.max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)
+        for name in ("rho", "xi1_grid", "xi1_desd", "xi2", "xi3", "tol_balance_kw", "tol_step"):
+            value, tolerance = getattr(self, name), name.startswith("tol_")
+            if not (math.isfinite(value) and (value >= 0 if tolerance else value > 0)):
+                raise ScenarioValidationError(f"codes.{name} must be finite and "
+                                              f"{'nonnegative' if tolerance else 'positive'}, got {value!r}")
+
+    @classmethod
+    def from_scenario(cls, scenario: Scenario) -> CodesConfig:
+        """Defaults overridden by the scenario's own solver settings, if any."""
+        known = {f.name for f in fields(cls)}
+        for key, _ in scenario.codes:
+            _require(key in known, f"unknown solver setting {key!r} in scenario")
+        return cls(**dict(scenario.codes))
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     id: int
@@ -65,7 +97,7 @@ class Scenario:
     tariff: Tariff
     agents: tuple[AgentSpec, ...]        # sorted by id, grid included
     graph: CommGraph
-    codes: tuple[tuple[str, float], ...] = ()   # per-file solver settings
+    codes: tuple[tuple[str, float], ...] = ()   # CodesConfig fields set by the file
 
     @property
     def users(self) -> tuple[AgentSpec, ...]:
@@ -140,6 +172,7 @@ def validate_scenario(sc: Scenario) -> None:
              "the bill bound p_grid_max_kw * dt_hours * sum(tariff.buy) overflows")
     _require(set(sc.graph.node_ids) == set(ids),
              "graph node set differs from the agent id set")
+    CodesConfig.from_scenario(sc)   # every command refuses settings that solve --codes would
 
 
 # --- JSON layer ----------------------------------------------------------------

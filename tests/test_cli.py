@@ -12,8 +12,8 @@ from coopgrid import centralized
 from coopgrid.centralized import schedule_cost
 from coopgrid.cli import main
 from coopgrid.lp import LpCycleError
-from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, Tariff, dump_scenario,
-                               load_scenario, scenario_digest)
+from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, ScenarioValidationError, Tariff,
+                               dump_scenario, load_scenario, scenario_digest)
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 
@@ -21,6 +21,20 @@ from coopgrid.graph import metropolis_weights
 def write_scenario(path: Path, sc) -> Path:
     path.write_text(dump_scenario(sc))
     return path
+
+
+def with_codes(sc, **settings):
+    """The scenario with some of its solver settings replaced."""
+    return dataclasses.replace(sc, codes=tuple({**dict(sc.codes), **settings}.items()))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in report.json")
+
+
+def read_report(out_dir: Path) -> dict:
+    """An output directory's report.json, parsed as strict JSON: NaN and Infinity fail."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_refuse_constant)
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -79,14 +93,18 @@ def test_non_finite_number_is_validation_error(fixtures_dir, tmp_path, capsys, n
 @pytest.mark.parametrize("codes", [(("max_iters", -5.0),), (("bogus", 1.0),)],
                          ids=["out-of-range", "unknown-key"])
 def test_validate_checks_solver_settings(fixtures_dir, tmp_path, capsys, codes):
-    # validate accepts exactly what solve --codes accepts
+    # the solver settings are checked when the file is loaded, so every
+    # command that reads a scenario refuses what solve --codes refuses
     sc = load_scenario(arbitrage_path(fixtures_dir))
     path = write_scenario(tmp_path / "bad_codes.json", dataclasses.replace(sc, codes=codes))
-    assert main(["validate", "--scenario", str(path)]) == 2
-    assert codes[0][0] in capsys.readouterr().err
+    with pytest.raises(ScenarioValidationError, match=codes[0][0]):
+        load_scenario(path)
     out = tmp_path / "out"
-    assert main(["solve", "--codes", "--scenario", str(path), "--out-dir", str(out)]) == 2
-    assert not out.exists()
+    for command in (["validate"], ["weights"], ["solve"], ["solve", "--codes"], ["allocate"],
+                    ["allocate", "--distributed"], ["compare"]):
+        assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2, command
+        assert codes[0][0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -209,8 +227,8 @@ def test_solve_codes_writes_trace(fixtures_dir, tmp_path):
     trace = read_csv(tmp_path / "trace_codes.csv")
     assert list(trace[0]) == ["iter", "J_est", "max_imbalance_kw",
                               "consensus_disagreement", "primal_step_norm"]
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["converged"] is True
+    report = read_report(tmp_path)
+    assert report["converged"] is True and report["status"] == "converged"
     assert len(trace) == report["iterations"]
     assert float(trace[-1]["max_imbalance_kw"]) <= report["config"]["tol_balance_kw"]
     assert_report_lists_its_files(tmp_path, report)
@@ -360,21 +378,43 @@ def test_compare_divergent_steps_reports_nonconvergence(fixtures_dir, tmp_path):
 
 
 def test_compare_fails_a_run_that_diverges(fixtures_dir, tmp_path, capsys):
-    # a NaN cost gap is not within tolerance
+    # a NaN cost gap is not within tolerance, and report.json writes NaN costs as null
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    codes = {**dict(sc.codes), "xi3": 1e308, "max_iters": 300.0}
-    wild = write_scenario(tmp_path / "wild.json",
-                          dataclasses.replace(sc, codes=tuple(codes.items())))
+    wild = write_scenario(tmp_path / "wild.json", with_codes(sc, xi3=1e308, max_iters=300.0))
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning):
         code = main(["compare", "--scenario", str(wild), "--out-dir", str(out)])
     assert code == 4
     assert "J_codes = nan" in capsys.readouterr().out
     assert len(read_csv(out / "trace_codes.csv")) == 2
+    report = read_report(out)
+    assert (report["status"], report["j_codes"], report["rel_gap"]) == ("diverged", None, None)
     with pytest.warns(RuntimeWarning):
         code = main(["solve", "--codes", "--scenario", str(wild), "--out-dir", str(tmp_path / "s")])
     assert code == 4
     assert "stopped when the run went non-finite" in capsys.readouterr().err
+    report = read_report(tmp_path / "s")
+    assert (report["status"], report["j"]) == ("diverged", None)
+
+
+@pytest.mark.parametrize("settings, status", [
+    ({"xi3": 1e308, "max_iters": 2.0}, "diverged"),
+    ({"max_iters": 300.0}, "iteration-cap"),
+])
+def test_solve_codes_names_how_the_run_stopped(fixtures_dir, tmp_path, capsys, settings, status):
+    # with max_iters = 2 the run goes non-finite at its last allowed round:
+    # that run diverged, though it used its whole budget
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    path = write_scenario(tmp_path / "sc.json", with_codes(sc, **settings))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["solve", "--codes", "--scenario", str(path), "--out-dir", str(out)])
+    assert code == 4
+    assert f"warning: {status}:" in capsys.readouterr().err
+    report = read_report(out)
+    assert report["status"] == status
+    assert report["iterations"] == report["config"]["max_iters"]
 
 
 def test_infeasible_scenario_exit_code(tmp_path):

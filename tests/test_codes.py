@@ -8,7 +8,8 @@ from coopgrid.centralized import check_schedule, solve_social
 from coopgrid.codes import CHUNK, CodesConfig, CodesState, run_codes
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.scenario import AgentSpec, Scenario, Tariff, load_scenario
+from coopgrid.scenario import (AgentSpec, Scenario, ScenarioValidationError, Tariff,
+                               load_scenario)
 
 
 def passive_scenario(demand, buy, sell, dt=1.0):
@@ -41,7 +42,7 @@ def test_config_defaults_overridden_by_fixture(fixtures_dir):
 def test_unknown_solver_setting_rejected(fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     bad = dataclasses.replace(sc, codes=(("step_size", 0.1),))
-    with pytest.raises(ValueError, match="step_size"):
+    with pytest.raises(ScenarioValidationError, match="step_size"):
         CodesConfig.from_scenario(bad)
 
 
@@ -53,7 +54,7 @@ def test_unknown_solver_setting_rejected(fixtures_dir):
 ])
 def test_out_of_range_solver_setting_rejected(fixtures_dir, key, value):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ScenarioValidationError, match=key):
         CodesConfig.from_scenario(dataclasses.replace(sc, codes=((key, value),)))
 
 
@@ -64,6 +65,7 @@ def test_three_agent_cost_matches_oracle(fixtures_dir):
     gap = abs(res.j - j_star) / abs(j_star)
     assert gap <= 5e-3
     assert res.iterations <= 20000
+    assert res.config == CodesConfig.from_scenario(sc)   # the file's settings, when none are given
     # end state is feasible at operating tolerances even mid limit cycle
     assert res.trace.max_imbalance_kw[-1] <= 1e-3
     assert check_schedule(sc, res.schedule, balance_tol_kw=1e-3, box_tol=1e-3) == []
@@ -251,7 +253,7 @@ def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
                      (dp.max(axis=0) - dp.min(axis=0)).max(), step))
         if imbalance < cfg.tol_balance_kw and step < cfg.tol_step:
             break
-    assert res.converged
+    assert res.converged and res.status == "converged" and res.config is cfg
     assert res.iterations == len(rows) == 18805
     assert res.iterations % CHUNK != 0    # inside a chunk: its later rounds are dropped
     assert np.abs(np.array(res.trace.tolist()) - rows).max() <= 1e-12
@@ -265,7 +267,7 @@ def test_diverging_run_stops_at_its_first_non_finite_round(fixtures_dir):
     cfg = dataclasses.replace(CodesConfig.from_scenario(sc), xi3=1e308, max_iters=300)
     with pytest.warns(RuntimeWarning):
         res = run_codes(sc, cfg)
-    assert not res.converged
+    assert not res.converged and res.status == "diverged"
     assert res.iterations == 2                   # not the whole budget
     rows = np.array(res.trace.tolist())
     assert np.isfinite(rows[0]).all()
@@ -301,7 +303,7 @@ def test_runs_are_deterministic(fixtures_dir):
 def test_absurd_step_size_reports_nonconvergence(fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     res = run_codes(sc, CodesConfig(xi1_desd=10.0, xi1_grid=10.0, max_iters=500))
-    assert not res.converged
+    assert not res.converged and res.status == "iteration-cap"
     assert res.iterations == 500
     assert len(res.trace) == 500
     assert np.isfinite(res.j)
