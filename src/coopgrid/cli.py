@@ -6,7 +6,8 @@ Exit codes are part of the interface:
   3  infeasible scenario
   4  the distributed run ended iteration-cap or diverged, or consensus ran out
      of rounds (artifacts are still written, except when allocate --distributed
-     runs out of consensus rounds: with no split there is nothing to write)
+     cannot finish its consensus, out of rounds or handed a non-finite social
+     cost by a diverged run: with no split there is nothing to write)
   5  bargaining failed: cooperation does not beat standing alone
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
@@ -169,7 +170,8 @@ def cmd_allocate(args) -> int:
             report = allocate_distributed(sc, j, selfish, tol=args.graph_tol)
         except GraphError as exc:
             # the graph itself was validated at load time, so this is the
-            # consensus loop running out of rounds: there is no split to write
+            # consensus refusing a non-finite J (a diverged codes run) or
+            # running out of rounds: there is no split to write
             return _fail(EXIT_NO_CONVERGENCE, str(exc))
     else:
         report = allocate_centralized(sc, j, selfish)

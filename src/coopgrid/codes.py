@@ -16,9 +16,11 @@ W's sparsity pattern is the graph, and xi3 I adds a bus's own imbalance estimate
 to its own price.  The imbalance estimates always sum to the true system
 imbalance, so driving them to zero balances the system.
 
-Rounds write their iterates into history buffers of CHUNK + 1 rows, and the
-trace and the convergence test read a whole chunk of rounds at once: a few
-reductions over the buffers instead of a few per round.
+Rounds run a chunk at a time, in `CodesState.run_chunk` only.  They write
+their iterates into history buffers of CHUNK + 1 rows, and the trace and the
+convergence test read a whole chunk of rounds at once: a few reductions over
+the buffers instead of a few per round.  Between chunks the current iterate
+is row 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ CHUNK = 32   # rounds between two reads of the trace; the history buffers hold C
 
 
 class CodesState:
-    """Every bus's iterate, its recent rounds, and the fixed matrices that advance it.
+    """Every bus's iterate, its recent rounds, and the fixed matrices of a round.
 
     `x` is the primal block, (2 + n_active, T): grid buy, grid sell, then one
     dispatch row per battery, in column-vector boxes `lo`, `hi`; `route` ties
@@ -46,17 +48,17 @@ class CodesState:
     U upper triangular ones, maps dispatch to the energy slacks and `push`,
     xi1_desd drain.T, their pressure back.  The named parts are views.
 
-    `x` and `est` are row `k` of the history buffers `xs`, (CHUNK + 1, 2 +
-    n_active, T), and `ests`, (CHUNK + 1, 2 n_bus, T): a round reads row k and
-    writes row k + 1 in place, after copying row CHUNK back to row 0 once it is
-    full.  So the buffers never grow, and a view names the current row: copy
-    one to keep it.
+    `x` and `est` are row 0 of the history buffers `xs`, (CHUNK + 1, 2 +
+    n_active, T), and `ests`, (CHUNK + 1, 2 n_bus, T): between chunks the
+    current iterate is row 0.  A chunk's round k reads row k and writes row
+    k + 1 in place, and the chunk ends by copying its last row back to row 0.
+    So the buffers never grow, and a view names a row: copy one to keep it.
     `dp_local` is each bus's own imbalance as the estimates last saw it, so a
     round feeds them its change, a move made to `x` between rounds included.
     """
 
-    x = property(lambda self: self.xs[self.k])
-    est = property(lambda self: self.ests[self.k])
+    x = property(lambda self: self.xs[0])
+    est = property(lambda self: self.ests[0])
     p_buy = property(lambda self: self.x[0])
     p_sell = property(lambda self: self.x[1])
     p_desd = property(lambda self: self.x[2:])
@@ -94,60 +96,51 @@ class CodesState:
         # less its own supply `route.T @ x`, it is what the bus asks of the rest
         flat = chain.from_iterable(a.demand_kw + a.renewable_kw for a in agents)
         self.base = np.subtract(*np.fromiter(flat, float, 2 * n * t).reshape(n, 2, t).swapaxes(0, 1))
-        self.config, self.t, self.k, self.mu = config, t, 0, np.zeros((rows - 2, 2 * t))
+        self.config, self.t, self.mu = config, t, np.zeros((rows - 2, 2 * t))
         self.xs, self.ests = np.zeros((CHUNK + 1, rows, t)), np.zeros((CHUNK + 1, 2 * n, t))
         self.refresh_slacks()
         # imbalance estimates start at each bus's own, anchoring their sum to the true total
         self.ests[0, n:] = self.dp_local = self.base
 
-    def refresh_slacks(self) -> None:
+    def refresh_slacks(self, row: int = 0) -> None:
         """`slack`, (n_active, 2T): signed overshoot of each stored-energy box per
-        step, in kWh, above emax then below emin.  Positive means violated; the sign
-        lets the multipliers relax once the box stops binding, which kills boundary
-        chatter.  A round leaves its slacks behind; call this after moving `p_desd`."""
-        self.slack = self.box + self.x[2:] @ self.drain
-
-    def _round(self) -> None:
-        """One synchronous round of every bus: reads history row k, writes row k + 1."""
-        if self.k == CHUNK:
-            self.xs[0], self.ests[0], self.k = self.x, self.est, 0
-        cfg, k = self.config, self.k
-        new_x, new_est = self.xs[k + 1], self.ests[k + 1]
-        np.matmul(self.price, self.ests[k], out=new_x)
-        new_x -= self.step_cost
-        new_x += self.xs[k]
-        # a step's dispatch shifts every later stored energy: box pressure sums backwards
-        new_x[2:] -= np.maximum(self.mu + cfg.rho * self.slack, 0.0) @ self.push
-        np.maximum(new_x, self.lo, out=new_x)
-        np.minimum(new_x, self.hi, out=new_x)
-        self.k = k + 1
-        self.refresh_slacks()
-        np.maximum(self.mu + cfg.xi2 * self.slack, 0.0, out=self.mu)
-        np.matmul(self.mix, self.ests[k], out=new_est)
-        fresh = self.base - self.route.T @ new_x
-        new_est[len(fresh):] += fresh - self.dp_local
-        self.dp_local = fresh
-
-    def advance(self) -> float:
-        """One synchronous round of every bus; returns the largest primal move."""
-        self._round()
-        return float(abs(self.x - self.xs[self.k - 1]).max())
+        step, in kWh, above emax then below emin, at history row `row`.  Positive
+        means violated; the sign lets the multipliers relax once the box stops
+        binding, which kills boundary chatter.  A chunk leaves its last round's
+        slacks behind; call this after moving `p_desd`."""
+        self.slack = self.box + self.xs[row, 2:] @ self.drain
 
     def run_chunk(self, rounds: int) -> np.ndarray:
-        """Run `rounds` <= CHUNK rounds into history rows 1 to `rounds`, and
-        return their trace rows, as `run_codes` records them."""
-        self.xs[0], self.ests[0], self.k = self.x, self.est, 0
-        for _ in range(rounds):
-            self._round()
-        xs = self.xs[1:rounds + 1]
+        """Run `rounds` <= CHUNK synchronous rounds of every bus from row 0 into
+        history rows 1 to `rounds`, copy the last back to row 0, and return the
+        rounds' trace rows, as `run_codes` records them."""
+        cfg, xs, ests = self.config, self.xs, self.ests
+        for k in range(rounds):
+            new_x, new_est = xs[k + 1], ests[k + 1]
+            np.matmul(self.price, ests[k], out=new_x)
+            new_x -= self.step_cost
+            new_x += xs[k]
+            # a step's dispatch shifts every later stored energy: box pressure sums backwards
+            new_x[2:] -= np.maximum(self.mu + cfg.rho * self.slack, 0.0) @ self.push
+            np.maximum(new_x, self.lo, out=new_x)
+            np.minimum(new_x, self.hi, out=new_x)
+            self.refresh_slacks(k + 1)
+            np.maximum(self.mu + cfg.xi2 * self.slack, 0.0, out=self.mu)
+            np.matmul(self.mix, ests[k], out=new_est)
+            fresh = self.base - self.route.T @ new_x
+            new_est[len(fresh):] += fresh - self.dp_local
+            self.dp_local = fresh
+        run = xs[1:rounds + 1]
         # bus-major, so that the spread over buses reduces over whole rows
-        dp = np.ascontiguousarray(self.ests[1:rounds + 1, len(self.base):].swapaxes(0, 1))
+        dp = np.ascontiguousarray(ests[1:rounds + 1, len(self.base):].swapaxes(0, 1))
         # the buses' own imbalances sum to the true one: total demand less supply
-        imbalance = self.base.sum(axis=0) - self.route.sum(axis=1) @ xs
-        return np.column_stack(((xs[:, :2] * self.tariff[:2]).sum(axis=(1, 2)),
-                                abs(imbalance).max(axis=1),
-                                (dp.max(axis=0) - dp.min(axis=0)).max(axis=1),
-                                abs(xs - self.xs[:rounds]).max(axis=(1, 2))))
+        imbalance = self.base.sum(axis=0) - self.route.sum(axis=1) @ run
+        trace = np.column_stack(((run[:, :2] * self.tariff[:2]).sum(axis=(1, 2)),
+                                 abs(imbalance).max(axis=1),
+                                 (dp.max(axis=0) - dp.min(axis=0)).max(axis=1),
+                                 abs(run - xs[:rounds]).max(axis=(1, 2))))
+        xs[0], ests[0] = xs[rounds], ests[rounds]
+        return trace
 
 
 @dataclass
@@ -184,7 +177,7 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         if stop.size:
             chunks.append(rows[:stop[0] + 1])
             status = "converged" if passed[stop[0]] else "diverged"
-            final = state.xs[stop[0] + 1]
+            final = state.xs[stop[0] + 1]    # the chunk moved only its last round to row 0
             break
         chunks.append(rows)
     else:

@@ -98,23 +98,24 @@ def metropolis_weights(node_ids, edges) -> CommGraph:
     return CommGraph(node_ids, edges, w)
 
 
-def consensus_round(state: ConsensusState, graph: CommGraph) -> ConsensusState:
-    """One synchronous mixing step x_i += sum_j w_ij (x_j - x_i)."""
-    return ConsensusState(graph.weights @ state.values, state.iteration + 1)
-
-
 def run_consensus(initial, graph: CommGraph, tol: float = 1e-9) -> ConsensusState:
     """Mix until every node is within tol of the average of the initial values.
 
-    The returned state reports how many rounds were used.  The round cap is
-    fixed at MAX_CONSENSUS_ROUNDS; hitting it without agreement raises
-    GraphError since on a connected graph the iteration provably contracts.
+    Each round is one synchronous mixing step x_i += sum_j w_ij (x_j - x_i),
+    and the returned state reports how many rounds were used.  A start value
+    that is not finite (a diverged cost, say) has no average to reach: it
+    raises GraphError before any round.  The round cap is fixed at
+    MAX_CONSENSUS_ROUNDS; hitting it without agreement raises GraphError since
+    on a connected graph the iteration provably contracts.
     """
     values = np.array(initial, dtype=float)
+    if not np.isfinite(values).all():
+        raise GraphError("consensus cannot start: a start value is not finite")
     target = values.mean(axis=0)
-    state = ConsensusState(values)
-    while np.abs(state.values - target).max() > tol:
-        if state.iteration >= MAX_CONSENSUS_ROUNDS:
+    rounds = 0
+    while np.abs(values - target).max() > tol:
+        if rounds >= MAX_CONSENSUS_ROUNDS:
             raise GraphError(f"consensus not within {tol} after {MAX_CONSENSUS_ROUNDS} rounds")
-        state = consensus_round(state, graph)
-    return state
+        values = graph.weights @ values
+        rounds += 1
+    return ConsensusState(values, rounds)

@@ -301,6 +301,27 @@ def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path,
     assert not out.exists()
 
 
+def test_allocate_refuses_to_split_a_diverged_social_cost(fixtures_dir, tmp_path, capsys):
+    # a diverged codes run has J = NaN: consensus refuses it, so no shares are written
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    wild = write_scenario(tmp_path / "wild.json", with_codes(sc, xi3=1e308, max_iters=300.0))
+    out = tmp_path / "d"
+    with pytest.warns(RuntimeWarning):
+        code = main(["allocate", "--distributed", "--social-method", "codes",
+                     "--scenario", str(wild), "--out-dir", str(out)])
+    assert code == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "costs.csv").exists() and not (out / "report.json").exists()
+    # the centralized split keeps writing its NaN shares, with the run's status
+    out = tmp_path / "c"
+    with pytest.warns(RuntimeWarning):
+        code = main(["allocate", "--social-method", "codes",
+                     "--scenario", str(wild), "--out-dir", str(out)])
+    assert code == 4
+    assert all(np.isnan(float(r["J_alloc"])) for r in read_csv(out / "costs.csv"))
+    assert read_report(out)["status"] == "diverged"
+
+
 def test_grid_only_scenario_is_rejected_before_allocating(fixtures_dir, tmp_path, capsys):
     # with no user there is nothing to split: epsilon would be 0 / 0
     data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())

@@ -113,7 +113,7 @@ def test_emitted_exchange_is_netted():
 
 
 def assert_matches_reference(sc, rounds):
-    # the pins run past the end of the first chunk, so the history buffers wrap
+    # the pins run past the end of the first chunk, so row 0 passes between chunks
     assert rounds > CHUNK
     cfg = dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=rounds, tol_step=0.0)
     res = run_codes(sc, cfg)
@@ -125,8 +125,8 @@ def assert_matches_reference(sc, rounds):
         assert np.abs(p - buses[i].p_desd).max() <= 1e-9
     # every bus's own state, not only what the trace and the schedule show
     state = CodesState(sc, cfg)
-    for _ in range(rounds):
-        state.advance()
+    for done in range(0, rounds, CHUNK):
+        state.run_chunk(min(CHUNK, rounds - done))
     for row, i in enumerate(sc.graph.node_ids):
         assert np.abs(state.lam_hat[row] - buses[i].lam_hat).max() <= 1e-9, i
         assert np.abs(state.dp_hat[row] - buses[i].dp_hat).max() <= 1e-9, i
@@ -166,17 +166,17 @@ def test_consensus_update_is_local(fixtures_dir):
         pattern[row[a], row[b]] = pattern[row[b], row[a]] = True
     assert np.array_equal(sc.graph.weights != 0, pattern)
 
-    def one_round(bump):
+    def mixed_once(bump):
         state = CodesState(sc, cfg)
         rng = np.random.default_rng(7)
         state.lam_hat[:] = rng.normal(size=state.lam_hat.shape)
         state.dp_hat[:] = rng.normal(size=state.dp_hat.shape)
         state.lam_hat[row[3]] += bump
         state.dp_hat[row[3]] += bump
-        state.advance()
+        state.run_chunk(1)
         return state
 
-    quiet, loud = one_round(0.0), one_round(1e6)
+    quiet, loud = mixed_once(0.0), mixed_once(1e6)
     assert np.array_equal(quiet.lam_hat[row[1]], loud.lam_hat[row[1]])
     assert np.array_equal(quiet.dp_hat[row[1]], loud.dp_hat[row[1]])
     battery = quiet.active_ids.index(1)
@@ -200,7 +200,7 @@ def test_imbalance_estimates_conserve_the_total(fixtures_dir):
         state.p_desd[:] = np.clip(state.p_desd + rng.normal(0, 0.2, state.p_desd.shape),
                                   state.lo[2:], state.hi[2:])
         state.refresh_slacks()
-        state.advance()
+        state.run_chunk(1)
         assert np.abs(state.dp_hat.sum(axis=0) - total_imbalance()).max() <= 1e-9
 
 
@@ -211,14 +211,14 @@ def test_slack_multipliers_rest_inside_the_energy_box(fixtures_dir):
     inside = CodesState(sc, cfg)
     inside.p_desd[:] = [[-1.0, 1.0]]            # stays inside [emin, emax]
     inside.refresh_slacks()
-    inside.advance()
+    inside.run_chunk(1)
     assert np.array_equal(inside.p_desd, [[-1.0, 1.0]])
     assert np.array_equal(inside.mu1, np.zeros((1, 2)))
     assert np.array_equal(inside.mu2, np.zeros((1, 2)))
     drained = CodesState(sc, cfg)
     drained.p_desd[:] = [[4.0, 0.0]]            # drains 4 kWh below emin
     drained.refresh_slacks()
-    drained.advance()
+    drained.run_chunk(1)
     assert drained.mu2.max() > 0.0
     assert drained.mu1.max() == 0.0
 
@@ -246,7 +246,7 @@ def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
     res = run_codes(sc, cfg)
     state, rows = CodesState(sc, cfg), []
     for _ in range(cfg.max_iters):
-        step = state.advance()
+        step = state.run_chunk(1)[0, 3]
         imbalance = abs(state.dp_local.sum(axis=0)).max()
         dp = state.dp_hat
         rows.append((np.vdot(state.tariff, state.x), imbalance,
@@ -260,6 +260,20 @@ def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
     assert np.array_equal(res.schedule.desd_power_kw[1], state.p_desd[0])
     assert np.array_equal(res.schedule.grid_buy_kw - res.schedule.grid_sell_kw,
                           state.p_buy - state.p_sell)
+
+
+def test_a_runs_split_into_chunks_cannot_be_seen(fixtures_dir):
+    # each chunk starts from row 0 and hands its last round back to row 0
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    cfg = CodesConfig.from_scenario(sc)
+    runs = []
+    for sizes in ((7, 32, 1, 32, 13), (32, 32, 21)):
+        state = CodesState(sc, cfg)
+        trace = np.concatenate([state.run_chunk(n) for n in sizes])
+        runs.append((state.x, state.est, state.mu, trace))
+    assert len(runs[0][3]) == len(runs[1][3]) == 85
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
 
 
 def test_diverging_run_stops_at_its_first_non_finite_round(fixtures_dir):

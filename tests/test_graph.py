@@ -3,9 +3,7 @@ import pytest
 
 from coopgrid.graph import (
     CommGraph,
-    ConsensusState,
     GraphError,
-    consensus_round,
     is_connected,
     metropolis_weights,
     run_consensus,
@@ -63,29 +61,43 @@ def test_is_connected():
     assert not is_connected([1, 2, 3], [(1, 2)])
 
 
-def test_consensus_round_conserves_mass_and_contracts():
+def test_mixing_step_conserves_mass_and_contracts():
+    # one round of run_consensus is one product with the weights
     rng = np.random.default_rng(5)
     for _ in range(30):
         ids, edges = random_connected_graph(rng, int(rng.integers(2, 10)))
         g = metropolis_weights(ids, edges)
-        state = ConsensusState(rng.uniform(-50.0, 50.0, len(ids)))
-        total = state.values.sum()
-        spread = state.values.max() - state.values.min()
+        values = rng.uniform(-50.0, 50.0, len(ids))
+        total = values.sum()
+        spread = values.max() - values.min()
         for _ in range(20):
-            state = consensus_round(state, g)
-            assert abs(state.values.sum() - total) <= 1e-12 * max(1.0, abs(total))
-            new_spread = state.values.max() - state.values.min()
+            values = g.weights @ values
+            assert abs(values.sum() - total) <= 1e-12 * max(1.0, abs(total))
+            new_spread = values.max() - values.min()
             assert new_spread <= spread + 1e-12
             spread = new_spread
-        assert state.iteration == 20
 
 
-def test_consensus_round_handles_vector_values():
+def test_mixing_step_handles_vector_values():
     g = metropolis_weights([1, 2, 3], [(1, 2), (2, 3)])
     vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-    state = consensus_round(ConsensusState(vals), g)
-    assert state.values.shape == (3, 2)
-    assert np.allclose(state.values.sum(axis=0), [6.0, 60.0], atol=1e-12)
+    mixed = g.weights @ vals
+    assert mixed.shape == (3, 2)
+    assert np.allclose(mixed.sum(axis=0), [6.0, 60.0], atol=1e-12)
+    out = run_consensus(vals, g, tol=1e-9)
+    assert out.values.shape == (3, 2)
+    assert np.abs(out.values - [2.0, 20.0]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_consensus_refuses_a_non_finite_start(bad):
+    # a non-finite value has no average to reach: refused before any round
+    g = metropolis_weights([1, 2, 3], [(1, 2), (2, 3)])
+    with pytest.raises(GraphError, match="not finite"):
+        run_consensus([1.0, bad, 3.0], g)
+    vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, bad]])
+    with pytest.raises(GraphError, match="not finite"):
+        run_consensus(vals, g)
 
 
 def test_run_consensus_reaches_average():
