@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute the split by consensus on the scenario graph")
     p.add_argument("--graph-tol", type=float, default=1e-6,
                    help="--distributed puts each user's share within this of the equal "
-                        "split, so two users' savings can differ by up to twice it")
+                        "split, so two users' savings can differ by up to twice it; after k "
+                        "rounds consensus aims no finer than floats resolve, (k + 1) n "
+                        "spacing(max |start|) for n nodes")
     p.add_argument("--social-method", choices=("centralized", "codes"),
                    default="centralized", help="where the social cost J comes from")
     p.set_defaults(func=cmd_allocate)

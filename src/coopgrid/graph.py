@@ -104,16 +104,22 @@ def run_consensus(initial, graph: CommGraph, tol: float = 1e-9) -> ConsensusStat
     Each round is one synchronous mixing step x_i += sum_j w_ij (x_j - x_i),
     and the returned state reports how many rounds were used.  A start value
     that is not finite (a diverged cost, say) has no average to reach: it
-    raises GraphError before any round.  The round cap is fixed at
+    raises GraphError before any round.  The average is summed from the
+    values divided by n, so finite starts cannot overflow it.  The test never
+    asks for more than floats resolve: a round's n-term sums can move the
+    nodes' mean by about n * spacing(max |start|), so after k rounds tol is
+    at least (k + 1) times that.  The round cap is fixed at
     MAX_CONSENSUS_ROUNDS; hitting it without agreement raises GraphError since
     on a connected graph the iteration provably contracts.
     """
     values = np.array(initial, dtype=float)
     if not np.isfinite(values).all():
         raise GraphError("consensus cannot start: a start value is not finite")
-    target = values.mean(axis=0)
+    n = values.shape[0]
+    target = (values / n).sum(axis=0)
+    rounding = n * float(np.spacing(np.abs(values).max()))
     rounds = 0
-    while np.abs(values - target).max() > tol:
+    while np.abs(values - target).max() > max(tol, (rounds + 1) * rounding):
         if rounds >= MAX_CONSENSUS_ROUNDS:
             raise GraphError(f"consensus not within {tol} after {MAX_CONSENSUS_ROUNDS} rounds")
         values = graph.weights @ values

@@ -8,33 +8,36 @@ Problems are stated as
          lower <= x <= upper
 
 Every lower bound is finite; an upper bound may be +inf.  All matrices are
-dense numpy arrays; the standard form is written straight into the tableau of
-a dependency-free simplex.  A pivot touches only the rows with a nonzero
+dense numpy arrays; `_system` writes the one equality system of every solve,
+[A_eq, 0; A_ub, I] with its shifted right-hand side, straight into the tableau
+of a dependency-free simplex.  A pivot touches only the rows with a nonzero
 pivot-column entry; its ratio test fills one preallocated array from the
 right-hand side and the basic columns' upper bounds, kept pivot by pivot.
 Variable bounds never become rows: each variable is one column shifted by its
 lower bound, and the ratio test keeps that column inside its box (Dantzig's
 upper-bounding technique).  The tableau keeps one row per LP row throughout.
 
-Phase 1 gives each row an artificial with a basis index but no column, and
-phase 2 starts from the basis phase 1 ends on, as it stands: an artificial
-still basic there is boxed at [0, 0], so it stays at zero until a degenerate
-pivot takes it out, and it never re-enters.  A caller that knows a basis
-passes it as an `LpStart`: a few block pivots bring the tableau there, and
-phase 2 starts from it when every basic value lies in its box.  A block is
-diagonal, or chains rows, each holding minus its pivot in the column of the
+Phase 1 alone scales rows: it equilibrates its fresh tableau, turns every
+right-hand side nonnegative, and gives each row an artificial with a basis
+index but no column.  Phase 2 starts from the basis phase 1 ends on, as it
+stands: an artificial still basic there is boxed at [0, 0], so it stays at
+zero until a degenerate pivot takes it out, and it never re-enters.  A caller
+that knows a basis passes it as an `LpStart`: a few block pivots bring the
+unscaled tableau there, since B^-1 [A | b] does not depend on row scaling,
+and phase 2 starts from it when every basic value lies in its box.  A block
+is diagonal, or chains rows, each holding minus its pivot in the column of the
 row before it: divided by its pivots such a block is unit lower bidiagonal,
-and its inverse is a cumulative sum down each chain.  Phase 1 runs, on a
-fresh standard form, for an LP without a start or with one that fails those
-tests, so it alone decides 'infeasible'.
+and its inverse is a cumulative sum down each chain.
 
 A caller that solved an LP with the same `a_eq`, `a_ub` and `f` passes that
 `LpSolution` as `warm`.  Its optimal tableau is dual feasible for any new
 right-hand side and bounds, so the solve copies it, recomputes the basic
-values, and runs the bounded dual simplex (Lemke 1954) until every basic
-value lies in its box; no standard form is built.  When that loop ends other
-than optimal, or its point fails `check_feasible`, the solve starts cold as
-above, so phase 1 still alone decides 'infeasible'.
+values from the unscaled system, and runs the bounded dual simplex (Lemke
+1954) until every basic value lies in its box.  Every solve ends in one
+finish: phase 2, the point, its `check_feasible` test (relative on rows,
+absolute on bounds) and the `LpSolution` with its tableau.  A warm solve
+whose dual loop or finish fails, and a refused start, fall back to phase 1
+on a fresh standard form, so phase 1 alone decides 'infeasible'.
 
 Reduced costs are priced against the absolute PIVOT_TOL, so a cost vector
 whose largest entry is below 0.5 is lifted by a power of two first: every
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PIVOT_TOL = 1e-10   # entries smaller than this are treated as zero pivots
-FEAS_TOL = 1e-8     # feasibility tolerance on row-scaled residuals
+FEAS_TOL = 1e-8     # feasibility tolerance: relative on rows, absolute on boxes
 BLOCK_ROWS = 32     # rows a start pivots at once, which bounds its temporaries
 
 
@@ -165,65 +168,53 @@ class ConstraintViolation:
 def check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> list[ConstraintViolation]:
     """Return all constraint violations of x beyond tol (empty list = feasible).
 
-    Residuals are scaled per row by max(1, max|coefficient|) so the tolerance
-    means the same thing across badly scaled rows.  A NaN residual is a
-    violation.
+    Row i's residual is divided by 1 + |b_i| + sum_j |a_ij x_j|, the size of
+    its terms, so the tolerance means the same at every magnitude the data
+    takes.  Bound violations are absolute.  A NaN residual is a violation.
     """
     x = np.asarray(x, dtype=float)
-    residuals = []
-    if lp.a_ub.shape[0]:
-        scale = np.maximum(1.0, np.abs(lp.a_ub).max(axis=1))
-        residuals.append(("ub", (lp.a_ub @ x - lp.b_ub) / scale))
-    if lp.a_eq.shape[0]:
-        scale = np.maximum(1.0, np.abs(lp.a_eq).max(axis=1))
-        residuals.append(("eq", np.abs(lp.a_eq @ x - lp.b_eq) / scale))
-    residuals += [("lower", lp.lower - x), ("upper", x - lp.upper)]
+    ub, eq = ((a @ x - b) / (1.0 + np.abs(b) + np.abs(a) @ np.abs(x))
+              for a, b in ((lp.a_ub, lp.b_ub), (lp.a_eq, lp.b_eq)))
+    residuals = [("ub", ub), ("eq", np.abs(eq)), ("lower", lp.lower - x), ("upper", x - lp.upper)]
     return [ConstraintViolation(kind, int(i), float(res[i]))
             for kind, res in residuals for i in np.flatnonzero(~(res <= tol))]
 
 
-# --- standard-form conversion -------------------------------------------------
-#
-# Every variable is one nonnegative column shifted by its lower bound,
-# x = lower + y, and keeps its width as the column's upper bound
-# y <= upper - lower, which the ratio test enforces; it never becomes a row.
+# --- standard form over y = x - lower, 0 <= y <= upper - lower ---------------
 
 
 @dataclass
 class _StandardForm:
-    tab: np.ndarray           # rows [A | b] of A y = b, 0 <= y <= upper, then a zero cost row
+    tab: np.ndarray           # `_system` over y = x - lower: rows [A | b] of A y = b, 0 <= y <= upper
     cost: np.ndarray          # objective over the y columns
     upper: np.ndarray         # per y column; +inf when unbounded above
 
 
-def _priced(f: np.ndarray) -> np.ndarray:
-    """The cost vector the simplex prices with: f, lifted by a power of two
-    when its largest entry is below 0.5."""
-    top = np.abs(f).max(initial=0.0)
-    return np.ldexp(f, -np.frexp(top)[1]) if 0.0 < top < 0.5 else f
+def _cost(lp: LinearProgram) -> np.ndarray:
+    """The cost of every y column the simplex prices with: f, lifted by a power
+    of two when its largest entry is below 0.5, then 0 for each slack."""
+    top = np.abs(lp.f).max(initial=0.0)
+    f = np.ldexp(lp.f, -np.frexp(top)[1]) if 0.0 < top < 0.5 else lp.f
+    return np.concatenate([f, np.zeros(lp.a_ub.shape[0])])
 
 
-def _to_standard_form(lp: LinearProgram) -> _StandardForm:
-    """Equality standard form, built in the simplex tableau; bounds must not contradict."""
-    lo, hi = lp.lower, lp.upper
+def _system(lp: LinearProgram, at: np.ndarray) -> np.ndarray:
+    """The one system every solve builds: rows [A | b - A_x at] of [A_eq, 0; A_ub, I]
+    over the columns x - at and one slack per `a_ub` row, unscaled, then a zero cost row."""
     n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
     tab = np.zeros((m_eq + m_ub + 1, n + m_ub + 1))
     rows = tab[:-1]
     rows[:m_eq, :n] = lp.a_eq
-    rows[:m_eq, -1] = lp.b_eq - lp.a_eq @ lo
+    rows[:m_eq, -1] = lp.b_eq - lp.a_eq @ at
     rows[m_eq:, :n] = lp.a_ub
-    rows[m_eq:, -1] = lp.b_ub - lp.a_ub @ lo
+    rows[m_eq:, -1] = lp.b_ub - lp.a_ub @ at
     rows[m_eq:, n:-1] = np.eye(m_ub)
+    return tab
 
-    # row equilibration keeps pivot/feasibility tolerances meaningful
-    rows /= np.maximum(1.0, np.abs(rows[:, :-1]).max(axis=1, initial=0.0))[:, None]
 
-    # flip rows so b >= 0 (phase 1 needs nonnegative rhs)
-    rows[rows[:, -1] < 0] *= -1.0
-
-    cost = np.zeros(n + m_ub)
-    cost[:n] = _priced(lp.f)
-    return _StandardForm(tab, cost, _column_upper(lp))
+def _to_standard_form(lp: LinearProgram) -> _StandardForm:
+    """Equality standard form, built in the simplex tableau; bounds must not contradict."""
+    return _StandardForm(_system(lp, lp.lower), _cost(lp), _column_upper(lp))
 
 
 def _column_upper(lp: LinearProgram) -> np.ndarray:
@@ -237,6 +228,11 @@ def _column_upper(lp: LinearProgram) -> np.ndarray:
 # column sits at zero, and a column that reaches its upper bound u is
 # complemented, y' = u - y, so it sits at zero again.  `flipped` records which
 # columns are currently complemented.
+
+
+def _outside(rhs: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """How far each basic value lies outside its box [0, upper]; <= 0 inside it."""
+    return np.maximum(-rhs, rhs - upper)
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -346,19 +342,22 @@ def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.n
         if not _block_pivot(sf.tab, rows, cols):
             return None
         basis[rows] = cols
-    rhs = sf.tab[:m, -1]
-    return basis if ((rhs >= -FEAS_TOL) & (rhs <= sf.upper[basis] + FEAS_TOL)).all() else None
+    return basis if (_outside(sf.tab[:m, -1], sf.upper[basis]) <= FEAS_TOL).all() else None
 
 
-def _phase1(tab: np.ndarray, upper: np.ndarray,
-            flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _phase1(tab: np.ndarray, upper: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Minimise the sum of one artificial per row, which has a basis index but
     no column.  Returns the basis phase 1 ends on (None when the LP is
     infeasible) and the pivot count; an artificial still basic there sits at
-    zero, and phase 2 keeps it there."""
+    zero, and phase 2 keeps it there.  It first equilibrates the rows, which
+    keeps the tolerances meaningful, and negates each with a negative
+    right-hand side, as its artificials need."""
     m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
+    rows = tab[:m]
+    rows /= np.maximum(1.0, np.abs(rows[:, :-1]).max(axis=1, initial=0.0))[:, None]
+    rows[rows[:, -1] < 0] *= -1.0
     basis = n_real + np.arange(m)
-    tab[-1] -= tab[:m].sum(axis=0)
+    tab[-1] -= rows.sum(axis=0)
     status, pivots = _simplex_iterate(tab, basis, np.concatenate([upper, np.full(m, np.inf)]),
                                       flipped)
     if status != "optimal":
@@ -384,7 +383,7 @@ def _dual_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
     ub_basic = upper[basis]
     ratios = np.empty(tab.shape[1] - 1)
     for pivots in range(3 * tab.shape[1] + 100):
-        violation = np.maximum(-rhs, rhs - ub_basic)
+        violation = _outside(rhs, ub_basic)
         row = int(violation.argmax())
         if violation[row] <= FEAS_TOL:
             return pivots
@@ -411,9 +410,24 @@ def _point(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray, flipped: np.nd
     n_real = flipped.size
     y = np.zeros(n_real + basis.size)
     y[basis] = tab[:-1, -1]
-    y = y[:n_real]
-    y[flipped] = upper[flipped] - y[flipped]
+    y = np.where(flipped, upper - y[:n_real], y[:n_real])
     return lp.lower + y[:lp.n_vars]
+
+
+def _finish(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
+            flipped: np.ndarray, phase1: int, pivots: int) -> LpSolution:
+    """Every solve ends here, from a primal feasible basis and its priced cost
+    row: phase 2, with a basic artificial boxed at [0, 0], then the point,
+    which must pass `check_feasible`.  `upper` bounds the columns."""
+    status, more = _simplex_iterate(tab, basis, np.concatenate([upper, np.zeros(basis.size)]), flipped)
+    if status == "unbounded":
+        return LpSolution(status, None, None, phase1, pivots + more)
+    x = _point(lp, tab, basis, flipped, upper)
+    bad = check_feasible(lp, x)
+    if bad:
+        raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
+    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots + more,
+                      LpTableau(lp, tab, basis, flipped))
 
 
 def _solve_warm(lp: LinearProgram, warm: LpSolution) -> LpSolution | None:
@@ -424,34 +438,29 @@ def _solve_warm(lp: LinearProgram, warm: LpSolution) -> LpSolution | None:
                               for name in ("f", "a_eq", "a_ub")):
         raise ValueError("a warm source must be a simplex optimum of an LP "
                          "with the same a_eq, a_ub and f")
-    n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
     basis, flipped = src.basis.copy(), src.flipped.copy()
     upper = _column_upper(lp)
-    if (basis >= n + m_ub).any() or np.isinf(upper[flipped]).any():
+    if (basis >= upper.size).any() or np.isinf(upper[flipped]).any():
         return None   # an artificial is basic, or a complemented column lost its bound
 
-    # basic values: the basic columns of the y system, complemented ones
-    # negated, against the right-hand side with every complemented column
-    # at its upper bound
-    a = np.block([[lp.a_eq, np.zeros((m_eq, m_ub))], [lp.a_ub, np.eye(m_ub)]])
+    # basic values: the basic columns of the system with every complemented
+    # column at its upper bound, complemented ones negated
     sign = np.where(flipped, -1.0, 1.0)
     fixed = np.where(flipped, upper, 0.0)
-    rhs = np.linalg.solve(a[:, basis] * sign[basis],
-                          np.concatenate([lp.b_eq, lp.b_ub]) - a[:, :n] @ (lp.lower + fixed[:n]))
+    system = _system(lp, lp.lower + fixed[:lp.n_vars])
+    rhs = np.linalg.solve(system[:-1, basis] * sign[basis], system[:-1, -1])
     tab = src.tab.copy()
     tab[:-1, -1] = rhs
-    cost = np.concatenate([_priced(lp.f), np.zeros(m_ub)])
+    cost = _cost(lp)
     tab[-1, -1] = -(cost @ fixed + (sign * cost)[basis] @ rhs)
     dual = _dual_iterate(tab, basis, upper, flipped)
     if dual is None:
         return None
-    # the primal loop prices every column as a cold solve would; it rarely pivots
-    status, primal = _simplex_iterate(tab, basis, upper, flipped)
-    x = _point(lp, tab, basis, flipped, upper)
-    if status != "optimal" or check_feasible(lp, x, tol=FEAS_TOL):
+    try:   # the primal loop prices every column as a cold solve would; it rarely pivots
+        sol = _finish(lp, tab, basis, upper, flipped, 0, dual)
+    except LpError:
         return None
-    return LpSolution("optimal", x, float(lp.f @ x), 0, dual + primal,
-                      LpTableau(lp, tab, basis, flipped))
+    return sol if sol.status == "optimal" else None
 
 
 def solve_lp(lp: LinearProgram, start: LpStart | None = None,
@@ -463,8 +472,8 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None,
     ValueError.  Phase 1 is skipped from a `start` whose basis is primal
     feasible; a warm solve that does not end optimal, and any other start,
     falls back to a solve without them.  On 'optimal' the returned point
-    satisfies every constraint within FEAS_TOL on row-scaled residuals;
-    anything worse raises LpError.
+    satisfies every constraint within FEAS_TOL, relative on rows and absolute
+    on bounds; anything worse raises LpError.
     """
     if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution("infeasible", None, None)
@@ -482,21 +491,10 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None,
         basis, phase1 = _phase1(sf.tab, sf.upper, flipped)
         if basis is None:
             return LpSolution("infeasible", None, None, phase1)
-    tab, n_real, m = sf.tab, sf.cost.size, basis.size
-
-    # phase 2: real objective over the original columns, with complemented
-    # columns entering at their upper bound; artificials are boxed at [0, 0]
-    cost = np.concatenate([np.where(flipped, -sf.cost, sf.cost), np.zeros(m)])
+    # phase 2 prices f, with complemented columns entering at their upper bound
+    tab, n_real = sf.tab, sf.cost.size
+    cost = np.concatenate([np.where(flipped, -sf.cost, sf.cost), np.zeros(basis.size)])
     tab[-1, :n_real] = cost[:n_real]
     tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
-    tab[-1] -= cost[basis] @ tab[:m]
-    status, pivots = _simplex_iterate(tab, basis, np.concatenate([sf.upper, np.zeros(m)]), flipped)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, phase1, pivots)
-
-    x = _point(lp, tab, basis, flipped, sf.upper)
-    bad = check_feasible(lp, x, tol=FEAS_TOL)
-    if bad:
-        raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
-    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots,
-                      LpTableau(lp, tab, basis, flipped))
+    tab[-1] -= cost[basis] @ tab[:-1]
+    return _finish(lp, tab, basis, sf.upper, flipped, phase1, 0)

@@ -168,8 +168,9 @@ def validate_scenario(sc: Scenario) -> None:
         totals = map(sum, zip(*(getattr(a, field) for a in sc.agents)))
         k = next((k for k, total in enumerate(totals) if not math.isfinite(total)), None)
         _require(k is None, f"{field} summed over the agents overflows at step {k}")
-    _require(math.isfinite(sc.p_grid_max_kw * sc.dt_hours * sum(sc.tariff.buy)),
-             "the bill bound p_grid_max_kw * dt_hours * sum(tariff.buy) overflows")
+    # the split sums r stand-alone bills and the social one, each within the bill bound
+    _require(math.isfinite((sc.n_users + 1) * sc.p_grid_max_kw * sc.dt_hours * sum(sc.tariff.buy)),
+             "the split bound (n_users + 1) * p_grid_max_kw * dt_hours * sum(tariff.buy) overflows")
     _require(set(sc.graph.node_ids) == set(ids),
              "graph node set differs from the agent id set")
     CodesConfig.from_scenario(sc)   # every command refuses settings that solve --codes would

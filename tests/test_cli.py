@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coopgrid.cli as cli
+import coopgrid.graph as graph_module
 from coopgrid import centralized
 from coopgrid.centralized import schedule_cost
 from coopgrid.cli import main
@@ -291,14 +292,92 @@ def test_allocate_distributed_matches_centralized(fixtures_dir, tmp_path):
     assert report["netting_residual"] >= -1e-9 and report["method"] == "distributed"
 
 
-def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path, capsys):
-    # 1e-300 is never reached, so consensus stops at its 100 000-round cap
+def test_allocate_out_of_consensus_rounds_writes_nothing(fixtures_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    # one round cannot bring the fixture's four nodes together, so consensus
+    # stops at its cap
+    monkeypatch.setattr(graph_module, "MAX_CONSENSUS_ROUNDS", 1)
     out = tmp_path / "out"
-    code = main(["allocate", "--distributed", "--graph-tol", "1e-300",
+    code = main(["allocate", "--distributed",
                  "--scenario", str(fixtures_dir / "three_agent.json"), "--out-dir", str(out)])
     assert code == 4
-    assert "100000" in capsys.readouterr().err
+    assert "after 1 rounds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_allocate_graph_tol_below_float_spacing_stops_at_the_floor(fixtures_dir, tmp_path):
+    # no float resolves 1e-300 around costs of order 1: consensus stops at
+    # n * spacing(max |start|) instead, and matches the centralized split
+    split = {}
+    for command in (["allocate"], ["allocate", "--distributed", "--graph-tol", "1e-300"]):
+        out = tmp_path / command[-1]
+        assert main([*command, "--scenario", str(fixtures_dir / "three_agent.json"),
+                     "--out-dir", str(out)]) == 0
+        split[command[-1]] = [float(r["J_alloc"]) for r in read_csv(out / "costs.csv")]
+    assert np.allclose(split["1e-300"], split["allocate"], rtol=0.0, atol=1e-12)
+
+
+def scaled_fixture(fixtures_dir, tmp_path, k: float) -> Path:
+    """three_agent.json with every kW and kWh value times k, and no codes block."""
+    data = json.loads((fixtures_dir / "three_agent.json").read_text())
+    del data["codes"]
+    data["p_grid_max_kw"] *= k
+    for a in data["agents"]:
+        a["demand_kw"] = [k * v for v in a["demand_kw"]]
+        a["renewable_kw"] = [k * v for v in a["renewable_kw"]]
+        if "desd" in a:
+            a["desd"] = {name: k * v for name, v in a["desd"].items()}
+    path = tmp_path / f"x{k:g}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("k", [1e8, 1e9, 3e10, 1e11])
+def test_a_day_in_any_unit_solves_and_splits_at_k_times_the_cost(fixtures_dir, tmp_path, k):
+    # the LP is homogeneous in kW and kWh, so J scales by k; residuals of
+    # 1e-8 to 1e-4 kW on rows of 1e8 to 1e11 kW are rounding, not a fault (exit 7)
+    assert main(["solve", "--scenario", str(fixtures_dir / "three_agent.json"),
+                 "--out-dir", str(tmp_path / "ref")]) == 0
+    j = read_report(tmp_path / "ref")["j"]
+    path = scaled_fixture(fixtures_dir, tmp_path, k)
+    for command in (["solve"], ["allocate"], ["allocate", "--distributed"]):
+        out = tmp_path / "-".join(command)
+        assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 0
+        assert abs(read_report(out)["j"] - k * j) <= 1e-9 * k * abs(j)
+
+
+def test_a_distributed_split_of_costs_near_1e11_finishes(fixtures_dir, tmp_path):
+    # floats near these costs are 1.5e-5 apart, 20 times --graph-tol: consensus
+    # stops at the spacing it can resolve instead of running out of rounds
+    out = tmp_path / "out"
+    assert main(["allocate", "--distributed", "--scenario",
+                 str(scaled_fixture(fixtures_dir, tmp_path, 1e10)), "--out-dir", str(out)]) == 0
+    j = read_report(out)["j"]
+    total = sum(float(r["J_alloc"]) for r in read_csv(out / "costs.csv"))
+    assert abs(total - j) <= 1e-12 * abs(j)
+
+
+def test_a_day_whose_split_overflows_is_validation_error(tmp_path, capsys):
+    # each bill bound, 1e10 kW * 1 h * 4 * 4.2e297, fits a float, but the
+    # split sums five bills: such a day once gave exit 0 with -inf shares
+    steps = [0.0] * 4
+    users = [{"id": i, "role": "passive", "demand_kw": [1e10] * 4, "renewable_kw": steps}
+             for i in (1, 2)]
+    users += [{"id": i, "role": "active", "demand_kw": steps, "renewable_kw": [1e10] * 4,
+               "desd": {"e0_kwh": 1.0, "emin_kwh": 0.0, "emax_kwh": 2.0,
+                        "p_charge_max_kw": 1.0, "p_discharge_max_kw": 1.0}} for i in (3, 4)]
+    data = {"horizon": 4, "dt_hours": 1.0, "p_grid_max_kw": 1e10,
+            "tariff": {"buy": [4.2e297] * 4, "sell": steps},
+            "agents": users + [{"id": 5, "role": "grid", "demand_kw": steps, "renewable_kw": steps}],
+            "graph": {"edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}}
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["solve"], ["solve", "--codes"], ["allocate"],
+                    ["allocate", "--distributed"], ["compare"]):
+        out = tmp_path / "out"
+        assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2
+        assert "(n_users + 1) * p_grid_max_kw" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_allocate_refuses_to_split_a_diverged_social_cost(fixtures_dir, tmp_path, capsys):

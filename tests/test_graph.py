@@ -110,6 +110,16 @@ def test_run_consensus_reaches_average():
         assert np.abs(out.values - x0.mean()).max() <= 1e-9
 
 
+def test_run_consensus_reaches_the_mean_of_starts_whose_sum_overflows():
+    # the mean is summed from the values divided by n, and the stop test asks
+    # for no finer agreement than the rounding of the rounds run so far
+    g = metropolis_weights([1, 2, 3], [(1, 2), (2, 3)])
+    out = run_consensus([1e308, 1e308, 0.0], g, tol=1e-9)
+    assert 0 < out.iteration < 1000
+    error = np.abs(out.values - 1e308 / 3 * 2).max()
+    assert error <= (out.iteration + 1) * 3 * np.spacing(1e308) and error <= 1e-13 * 1e308
+
+
 def test_run_consensus_complete_graph_is_one_round():
     # K4 Metropolis weights equal 1/4 everywhere: exact average in one mix
     edges = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]

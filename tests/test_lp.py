@@ -5,7 +5,11 @@ import pytest
 
 import coopgrid.lp as lp_module
 from bruteforce import enumerate_lp_vertices
-from coopgrid.lp import LinearProgram, LpStart, _pivot, check_feasible, solve_lp
+from coopgrid.centralized import day_lp, day_start
+from coopgrid.generate import GenSpec, gen_scenario
+from coopgrid.lp import (FEAS_TOL, LinearProgram, LpStart, _pivot, _system, _to_standard_form,
+                         check_feasible, solve_lp)
+from coopgrid.scenario import load_scenario
 
 from lp_families import infeasible_lp, random_boxed_lp, unbounded_lp
 
@@ -462,6 +466,15 @@ def test_check_feasible_uses_row_scaling():
     assert check_feasible(lp, np.array([1.1])) != []
 
 
+def test_check_feasible_is_relative_to_the_row():
+    # a residual of 1e-6 on a row whose terms are 1e8 is rounding; on a row of
+    # unit terms it is a violation; a bound's violation stays absolute
+    lp = LinearProgram(f=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0e8], upper=[2.0e8, 2.0e8])
+    assert check_feasible(lp, np.array([1.0e8 + 1e-6, 0.0])) == []
+    assert check_feasible(dataclasses.replace(lp, b_eq=[1.0]), np.array([1.0 + 1e-6, 0.0])) != []
+    assert [v.kind for v in check_feasible(lp, np.array([2.0e8 + 1e-6, 1.0e8 + 1e-6]))] == ["upper"]
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         LinearProgram(f=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
@@ -480,3 +493,94 @@ def test_nan_input_is_refused(field):
     data[field] = np.full(np.shape(data[field]), np.nan)
     with pytest.raises(ValueError, match=f"^{field} must"):
         solve_lp(LinearProgram(**data))
+
+
+# --- one system, one finish ----------------------------------------------------
+
+
+def assert_basis_reproduces_x(lp: LinearProgram, sol) -> None:
+    """The returned basis, with each nonbasic column at the bound `flipped`
+    names, reproduces x through the one system `_system` builds:
+    a[:, basis] @ y_B = b - a[:, nonbasic] @ y_N."""
+    system = _system(lp, lp.lower)
+    a, b = system[:-1, :-1], system[:-1, -1]
+    n_real = a.shape[1]
+    y = np.concatenate([sol.x - lp.lower, lp.b_ub - lp.a_ub @ sol.x])
+    basis = sol.tableau.basis[sol.tableau.basis < n_real]   # a basic artificial sits at zero
+    nonbasic = np.setdiff1d(np.arange(n_real), basis)
+    width = np.concatenate([lp.upper - lp.lower, np.full(lp.a_ub.shape[0], np.inf)])
+    y_n = np.where(sol.tableau.flipped, width, 0.0)[nonbasic]
+    assert np.allclose(y[nonbasic], y_n, rtol=FEAS_TOL, atol=FEAS_TOL)
+    assert np.linalg.matrix_rank(a[:, basis]) == basis.size
+    residual = a[:, basis] @ y[basis] - (b - a[:, nonbasic] @ y_n)
+    assert (np.abs(residual) <= FEAS_TOL * (1.0 + np.abs(b) + np.abs(a) @ np.abs(y))).all()
+
+
+def assert_one_finish(lp: LinearProgram, start: LpStart, source) -> np.ndarray:
+    """The started, phase-1 and warm solves of lp reach one objective, and each
+    returned tableau reproduces its x; returns whether the start was taken and
+    whether the warm solve stayed warm."""
+    cold = solve_lp(lp)
+    started = solve_lp(lp, start=start)
+    warm = solve_lp(lp, warm=source)
+    assert cold.status == started.status == warm.status == "optimal"
+    for sol in (cold, started, warm):
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * (
+            1.0 + abs(cold.objective_value))
+        assert_basis_reproduces_x(lp, sol)
+    return np.array([started.phase1_pivots == 0, warm.phase1_pivots == 0], dtype=int)
+
+
+def test_started_phase_one_and_warm_solves_share_one_finish_on_the_lp_families():
+    rng = np.random.default_rng(11)
+    solved, taken = 0, np.zeros(2, dtype=int)
+    while solved < 60:
+        lp = random_boxed_lp(rng)
+        source = solve_lp(lp)
+        other = perturbed(lp, rng)
+        if source.status != "optimal" or solve_lp(other).status != "optimal":
+            continue
+        n, m_eq, m_ub = lp.n_vars, lp.a_eq.shape[0], lp.a_ub.shape[0]
+        start = LpStart([(np.arange(m_eq), np.abs(lp.a_eq).argmax(axis=1)),
+                         (np.arange(m_eq, m_eq + m_ub), n + np.arange(m_ub))], NO_COLUMNS)
+        taken += assert_one_finish(other, start, source)
+        solved += 1
+    assert taken[0] >= 8 and taken[1] >= 50
+
+
+def battery_day_lps(sc):
+    """The social day LP and each battery owner's stand-alone one, with the
+    start a cold solve enters at and a warm source of the same a_eq and f:
+    the optimum of the day with 10 % less net load."""
+    for agents in [sc.agents] + [[a] for a in sc.users if a.desd is not None]:
+        lp = day_lp(sc, agents)
+        b_eq = lp.b_eq.copy()
+        b_eq[:sc.horizon] *= 0.9
+        source = solve_lp(dataclasses.replace(lp, b_eq=b_eq))
+        assert source.status == "optimal"
+        yield lp, day_start(sc, agents), source
+
+
+@pytest.mark.parametrize("dt", [0.25, 1.0, 24.0])
+def test_started_phase_one_and_warm_solves_share_one_finish_on_day_lps(fixtures_dir, dt):
+    days = [load_scenario(fixtures_dir / "three_agent.json"),
+            load_scenario(fixtures_dir / "arbitrage_t2.json"),
+            gen_scenario(GenSpec(users=(4, 4), active=(3, 3), horizon=(24, 24), graph="ring"), 3)]
+    solves, taken = 0, np.zeros(2, dtype=int)
+    for sc in days:
+        for lp, start, source in battery_day_lps(dataclasses.replace(sc, dt_hours=dt)):
+            taken += assert_one_finish(lp, start, source)
+            solves += 1
+    # three social LPs and six stand-alone ones: every start and warm source is taken
+    assert solves == 9 and taken.tolist() == [9, 9]
+
+
+def test_the_standard_form_is_the_unscaled_system(fixtures_dir):
+    # at dt = 24 a link row's largest coefficient is 24: phase 1 alone divides
+    # it out, so the standard form a start enters on holds the LP's own rows
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    lp = day_lp(dataclasses.replace(sc, dt_hours=24.0), sc.agents)
+    tab = _to_standard_form(lp).tab
+    assert tab.tobytes() == _system(lp, lp.lower).tobytes()
+    assert tab[:-1, :-1].tobytes() == lp.a_eq.tobytes()
+    assert tab[:-1, -1].tobytes() == (lp.b_eq - lp.a_eq @ lp.lower).tobytes()
