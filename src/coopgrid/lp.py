@@ -10,12 +10,12 @@ Problems are stated as
 Every lower bound is finite; an upper bound may be +inf.  All matrices are
 dense numpy arrays; `_system` writes the one equality system of every solve,
 [A_eq, 0; A_ub, I] with its shifted right-hand side, straight into the tableau
-of a dependency-free simplex.  A pivot touches only the rows with a nonzero
-pivot-column entry; its ratio test fills one preallocated array from the
-right-hand side and the basic columns' upper bounds, kept pivot by pivot.
-Variable bounds never become rows: each variable is one column shifted by its
-lower bound, and the ratio test keeps that column inside its box (Dantzig's
-upper-bounding technique).  The tableau keeps one row per LP row throughout.
+of a dependency-free simplex, and one `LpTableau` holds a solve's whole state.
+A pivot touches only the rows with a nonzero pivot-column entry; its ratio
+test fills one preallocated array from the right-hand side and the basic
+columns' upper bounds, kept pivot by pivot.  Variable bounds never become
+rows: each variable is one column shifted by its lower bound, and the ratio
+test keeps it inside its box (Dantzig's upper-bounding technique).
 
 Phase 1 alone scales rows: it equilibrates its fresh tableau, turns every
 right-hand side nonnegative, and gives each row an artificial with a basis
@@ -30,14 +30,14 @@ row before it: divided by its pivots such a block is unit lower bidiagonal,
 and its inverse is a cumulative sum down each chain.
 
 A caller that solved an LP with the same `a_eq`, `a_ub` and `f` passes that
-`LpSolution` as `warm`.  Its optimal tableau is dual feasible for any new
+`LpSolution` as `warm`.  Its final state is dual feasible for any new
 right-hand side and bounds, so the solve copies it, recomputes the basic
 values from the unscaled system, and runs the bounded dual simplex (Lemke
 1954) until every basic value lies in its box.  Every solve ends in one
-finish: phase 2, the point, its `check_feasible` test (relative on rows,
-absolute on bounds) and the `LpSolution` with its tableau.  A warm solve
+finish: phase 2, the point, its `check_feasible` test (relative on rows and
+bounds alike) and the `LpSolution`, which keeps the state.  A warm solve
 whose dual loop or finish fails, and a refused start, fall back to phase 1
-on a fresh standard form, so phase 1 alone decides 'infeasible'.
+on a fresh state, so phase 1 alone decides 'infeasible'.
 
 Reduced costs are priced against the absolute PIVOT_TOL, so a cost vector
 whose largest entry is below 0.5 is lifted by a power of two first: every
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PIVOT_TOL = 1e-10   # entries smaller than this are treated as zero pivots
-FEAS_TOL = 1e-8     # feasibility tolerance: relative on rows, absolute on boxes
+FEAS_TOL = 1e-8     # feasibility tolerance, relative to each row's and bound's size
 BLOCK_ROWS = 32     # rows a start pivots at once, which bounds its temporaries
 
 
@@ -119,13 +119,22 @@ class LinearProgram:
 
 @dataclass
 class LpTableau:
-    """The final tableau of an optimal solve, which a warm solve starts from.
-    Row r's basic column is `basis[r]`; a column in `flipped` is complemented."""
+    """One solve's state: the tableau over y = x - lower (rows [A | b], then the
+    cost row), each y column's upper bound, the complemented columns and, once
+    there is one, the basis (row r's basic column is `basis[r]`).  A solution
+    keeps the state its solve ended on, which a warm solve starts from."""
 
     lp: LinearProgram
     tab: np.ndarray
-    basis: np.ndarray
+    upper: np.ndarray
     flipped: np.ndarray
+    basis: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> LpTableau:
+        """The state before any pivot: the unscaled `_system` at lp.lower."""
+        upper = _column_upper(lp)
+        return cls(lp, _system(lp, lp.lower), upper, np.zeros(upper.size, dtype=bool))
 
 
 @dataclass
@@ -169,25 +178,20 @@ def check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> l
     """Return all constraint violations of x beyond tol (empty list = feasible).
 
     Row i's residual is divided by 1 + |b_i| + sum_j |a_ij x_j|, the size of
-    its terms, so the tolerance means the same at every magnitude the data
-    takes.  Bound violations are absolute.  A NaN residual is a violation.
+    its terms, and a bound's on x_j by 1 + |x_j|, so the tolerance means the
+    same at every magnitude the data takes.  A NaN residual is a violation.
     """
     x = np.asarray(x, dtype=float)
     ub, eq = ((a @ x - b) / (1.0 + np.abs(b) + np.abs(a) @ np.abs(x))
               for a, b in ((lp.a_ub, lp.b_ub), (lp.a_eq, lp.b_eq)))
-    residuals = [("ub", ub), ("eq", np.abs(eq)), ("lower", lp.lower - x), ("upper", x - lp.upper)]
+    size = 1.0 + np.abs(x)   # not 1 + |bound|: an infinite bound's residual would be NaN
+    residuals = [("ub", ub), ("eq", np.abs(eq)),
+                 ("lower", (lp.lower - x) / size), ("upper", (x - lp.upper) / size)]
     return [ConstraintViolation(kind, int(i), float(res[i]))
             for kind, res in residuals for i in np.flatnonzero(~(res <= tol))]
 
 
 # --- standard form over y = x - lower, 0 <= y <= upper - lower ---------------
-
-
-@dataclass
-class _StandardForm:
-    tab: np.ndarray           # `_system` over y = x - lower: rows [A | b] of A y = b, 0 <= y <= upper
-    cost: np.ndarray          # objective over the y columns
-    upper: np.ndarray         # per y column; +inf when unbounded above
 
 
 def _cost(lp: LinearProgram) -> np.ndarray:
@@ -210,11 +214,6 @@ def _system(lp: LinearProgram, at: np.ndarray) -> np.ndarray:
     rows[m_eq:, -1] = lp.b_ub - lp.a_ub @ at
     rows[m_eq:, n:-1] = np.eye(m_ub)
     return tab
-
-
-def _to_standard_form(lp: LinearProgram) -> _StandardForm:
-    """Equality standard form, built in the simplex tableau; bounds must not contradict."""
-    return _StandardForm(_system(lp, lp.lower), _cost(lp), _column_upper(lp))
 
 
 def _column_upper(lp: LinearProgram) -> np.ndarray:
@@ -329,45 +328,44 @@ def _block_pivot(tab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
     return True
 
 
-def _enter_start(sf: _StandardForm, start: LpStart, flipped: np.ndarray) -> np.ndarray | None:
-    """Pivot the tableau onto the start's basis and return it; None unless every
-    pivot block has the form `_block_pivot` takes and every basic value lies
-    in its box."""
-    m = sf.tab.shape[0] - 1
+def _enter_start(st: LpTableau, start: LpStart) -> bool:
+    """Pivot the state onto the start's basis; False unless every pivot block
+    has the form `_block_pivot` takes and every basic value lies in its box."""
+    m = st.tab.shape[0] - 1
     if not np.array_equal(np.sort(np.concatenate([r for r, _ in start.blocks])), np.arange(m)):
         raise ValueError("a start must give every row exactly one basic column")
-    _complement(sf.tab, flipped, start.at_upper, sf.upper)
-    basis = np.empty(m, dtype=int)
+    _complement(st.tab, st.flipped, start.at_upper, st.upper)
+    st.basis = np.empty(m, dtype=int)
     for rows, cols in start.blocks:
-        if not _block_pivot(sf.tab, rows, cols):
-            return None
-        basis[rows] = cols
-    return basis if (_outside(sf.tab[:m, -1], sf.upper[basis]) <= FEAS_TOL).all() else None
+        if not _block_pivot(st.tab, rows, cols):
+            return False
+        st.basis[rows] = cols
+    return bool((_outside(st.tab[:m, -1], st.upper[st.basis]) <= FEAS_TOL).all())
 
 
-def _phase1(tab: np.ndarray, upper: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _phase1(st: LpTableau) -> int:
     """Minimise the sum of one artificial per row, which has a basis index but
-    no column.  Returns the basis phase 1 ends on (None when the LP is
-    infeasible) and the pivot count; an artificial still basic there sits at
-    zero, and phase 2 keeps it there.  It first equilibrates the rows, which
-    keeps the tolerances meaningful, and negates each with a negative
-    right-hand side, as its artificials need."""
+    no column, from a fresh state; return the pivot count.  The state gets the
+    basis phase 1 ends on, None when the LP is infeasible; a basic artificial
+    there sits at zero, and phase 2 keeps it there.  Rows are equilibrated
+    first, and negated where the right-hand side is negative."""
+    tab = st.tab
     m, n_real = tab.shape[0] - 1, tab.shape[1] - 1
     rows = tab[:m]
     rows /= np.maximum(1.0, np.abs(rows[:, :-1]).max(axis=1, initial=0.0))[:, None]
     rows[rows[:, -1] < 0] *= -1.0
     basis = n_real + np.arange(m)
     tab[-1] -= rows.sum(axis=0)
-    status, pivots = _simplex_iterate(tab, basis, np.concatenate([upper, np.full(m, np.inf)]),
-                                      flipped)
+    status, pivots = _simplex_iterate(tab, basis, np.concatenate([st.upper, np.full(m, np.inf)]),
+                                      st.flipped)
     if status != "optimal":
         raise LpError("phase 1 cannot be unbounded")   # cost bounded below by 0
-    return (None if -tab[-1, -1] > FEAS_TOL else basis), pivots
+    st.basis = None if -tab[-1, -1] > FEAS_TOL else basis
+    return pivots
 
 
-def _dual_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
-                  flipped: np.ndarray) -> int | None:
-    """Bounded dual simplex from a dual feasible tableau.  Returns the pivot
+def _dual_iterate(st: LpTableau) -> int | None:
+    """Bounded dual simplex from a dual feasible state.  Returns the pivot
     count once every basic value lies in its box, or None when a row cannot
     be repaired or the pivot budget runs out.
 
@@ -376,6 +374,7 @@ def _dual_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
     the smallest index on ties.  A basic column that leaves above its box is
     complemented, so it sits at zero again.
     """
+    tab, basis, upper, flipped = st.tab, st.basis, st.upper, st.flipped
     m = tab.shape[0] - 1
     if not m:
         return 0
@@ -404,42 +403,39 @@ def _dual_iterate(tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
     return None
 
 
-def _point(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray, flipped: np.ndarray,
-           upper: np.ndarray) -> np.ndarray:
-    """The x of the tableau's basic solution; a basic artificial carries no variable."""
-    n_real = flipped.size
-    y = np.zeros(n_real + basis.size)
-    y[basis] = tab[:-1, -1]
-    y = np.where(flipped, upper - y[:n_real], y[:n_real])
-    return lp.lower + y[:lp.n_vars]
+def _point(st: LpTableau) -> np.ndarray:
+    """The x of the state's basic solution; a basic artificial carries no variable."""
+    n_real = st.flipped.size
+    y = np.zeros(n_real + st.basis.size)
+    y[st.basis] = st.tab[:-1, -1]
+    y = np.where(st.flipped, st.upper - y[:n_real], y[:n_real])
+    return st.lp.lower + y[:st.lp.n_vars]
 
 
-def _finish(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray, upper: np.ndarray,
-            flipped: np.ndarray, phase1: int, pivots: int) -> LpSolution:
+def _finish(st: LpTableau, phase1: int, pivots: int) -> LpSolution:
     """Every solve ends here, from a primal feasible basis and its priced cost
     row: phase 2, with a basic artificial boxed at [0, 0], then the point,
-    which must pass `check_feasible`.  `upper` bounds the columns."""
-    status, more = _simplex_iterate(tab, basis, np.concatenate([upper, np.zeros(basis.size)]), flipped)
+    which must pass `check_feasible`.  An optimal solution keeps the state."""
+    upper = np.concatenate([st.upper, np.zeros(st.basis.size)])
+    status, more = _simplex_iterate(st.tab, st.basis, upper, st.flipped)
     if status == "unbounded":
         return LpSolution(status, None, None, phase1, pivots + more)
-    x = _point(lp, tab, basis, flipped, upper)
-    bad = check_feasible(lp, x)
+    x = _point(st)
+    bad = check_feasible(st.lp, x)
     if bad:
         raise LpError("optimal vertex fails feasibility check: " + "; ".join(map(str, bad)))
-    return LpSolution("optimal", x, float(lp.f @ x), phase1, pivots + more,
-                      LpTableau(lp, tab, basis, flipped))
+    return LpSolution("optimal", x, float(st.lp.f @ x), phase1, pivots + more, st)
 
 
 def _solve_warm(lp: LinearProgram, warm: LpSolution) -> LpSolution | None:
-    """Re-optimise `warm`'s final tableau for lp's right-hand side and bounds;
+    """Re-optimise a copy of `warm`'s final state for lp's right-hand side and bounds;
     None when the solve must start cold instead."""
     src = warm.tableau
     if src is None or not all(np.array_equal(getattr(lp, name), getattr(src.lp, name))
                               for name in ("f", "a_eq", "a_ub")):
         raise ValueError("a warm source must be a simplex optimum of an LP "
                          "with the same a_eq, a_ub and f")
-    basis, flipped = src.basis.copy(), src.flipped.copy()
-    upper = _column_upper(lp)
+    basis, flipped, upper = src.basis, src.flipped, _column_upper(lp)
     if (basis >= upper.size).any() or np.isinf(upper[flipped]).any():
         return None   # an artificial is basic, or a complemented column lost its bound
 
@@ -449,15 +445,15 @@ def _solve_warm(lp: LinearProgram, warm: LpSolution) -> LpSolution | None:
     fixed = np.where(flipped, upper, 0.0)
     system = _system(lp, lp.lower + fixed[:lp.n_vars])
     rhs = np.linalg.solve(system[:-1, basis] * sign[basis], system[:-1, -1])
-    tab = src.tab.copy()
-    tab[:-1, -1] = rhs
+    st = LpTableau(lp, src.tab.copy(), upper, flipped.copy(), basis.copy())
+    st.tab[:-1, -1] = rhs
     cost = _cost(lp)
-    tab[-1, -1] = -(cost @ fixed + (sign * cost)[basis] @ rhs)
-    dual = _dual_iterate(tab, basis, upper, flipped)
+    st.tab[-1, -1] = -(cost @ fixed + (sign * cost)[basis] @ rhs)
+    dual = _dual_iterate(st)
     if dual is None:
         return None
     try:   # the primal loop prices every column as a cold solve would; it rarely pivots
-        sol = _finish(lp, tab, basis, upper, flipped, 0, dual)
+        sol = _finish(st, 0, dual)
     except LpError:
         return None
     return sol if sol.status == "optimal" else None
@@ -472,8 +468,8 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None,
     ValueError.  Phase 1 is skipped from a `start` whose basis is primal
     feasible; a warm solve that does not end optimal, and any other start,
     falls back to a solve without them.  On 'optimal' the returned point
-    satisfies every constraint within FEAS_TOL, relative on rows and absolute
-    on bounds; anything worse raises LpError.
+    satisfies every constraint within FEAS_TOL, relative as `check_feasible`
+    measures it, and keeps the final `LpTableau`; anything worse raises LpError.
     """
     if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution("infeasible", None, None)
@@ -481,20 +477,17 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None,
         sol = _solve_warm(lp, warm)
         if sol is not None:
             return sol
-    sf = _to_standard_form(lp)
-    flipped = np.zeros(sf.cost.size, dtype=bool)
-    basis = None if start is None else _enter_start(sf, start, flipped)
-    phase1 = 0
-    if basis is None:
+    st, phase1 = LpTableau.of(lp), 0
+    if start is None or not _enter_start(st, start):
         if start is not None:   # never phase 1 on a half-pivoted tableau
-            sf, flipped[:] = _to_standard_form(lp), False
-        basis, phase1 = _phase1(sf.tab, sf.upper, flipped)
-        if basis is None:
+            st = LpTableau.of(lp)
+        phase1 = _phase1(st)
+        if st.basis is None:
             return LpSolution("infeasible", None, None, phase1)
     # phase 2 prices f, with complemented columns entering at their upper bound
-    tab, n_real = sf.tab, sf.cost.size
-    cost = np.concatenate([np.where(flipped, -sf.cost, sf.cost), np.zeros(basis.size)])
-    tab[-1, :n_real] = cost[:n_real]
-    tab[-1, -1] = -sf.cost[flipped] @ sf.upper[flipped]
-    tab[-1] -= cost[basis] @ tab[:-1]
-    return _finish(lp, tab, basis, sf.upper, flipped, phase1, 0)
+    f, flipped, tab = _cost(lp), st.flipped, st.tab
+    cost = np.concatenate([np.where(flipped, -f, f), np.zeros(st.basis.size)])
+    tab[-1, :f.size] = cost[:f.size]
+    tab[-1, -1] = -f[flipped] @ st.upper[flipped]
+    tab[-1] -= cost[st.basis] @ tab[:-1]
+    return _finish(st, phase1, 0)

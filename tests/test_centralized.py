@@ -21,7 +21,7 @@ from coopgrid.centralized import (
 )
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.lp import _enter_start, _point, _to_standard_form, solve_lp
+from coopgrid.lp import LpTableau, _enter_start, _point, solve_lp
 from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
 from coopgrid.selfish import disagreement_point
 
@@ -98,13 +98,13 @@ def test_social_lp_is_state_variable_form():
     sc = gen_scenario(GenSpec(users=(10, 10), active=(5, 5), horizon=(48, 48),
                               graph="ring"), seed=1)
     lp = build_social_lp(sc)
-    # (the standard form is built in the tableau: one more row for the cost
+    # (`LpTableau.of` builds it in the tableau: one more row for the cost
     # and one more column for the right-hand side)
     for case in [random_boxed_lp(rng) for _ in range(20)] + [lp]:
-        assert _to_standard_form(case).tab.shape == (case.a_eq.shape[0] + case.a_ub.shape[0] + 1,
-                                                     case.n_vars + case.a_ub.shape[0] + 1)
+        assert LpTableau.of(case).tab.shape == (case.a_eq.shape[0] + case.a_ub.shape[0] + 1,
+                                                case.n_vars + case.a_ub.shape[0] + 1)
     assert lp.a_ub.shape[0] == 0
-    assert _to_standard_form(lp).tab.shape == (288 + 1, 576 + 1)
+    assert LpTableau.of(lp).tab.shape == (288 + 1, 576 + 1)
     # columns: buy | sell | P_i | E_i, one block of T per device in id order
     t, n = sc.horizon, len(sc.active_users)
     rows = solve_lp(lp).x.reshape(-1, t)
@@ -302,11 +302,9 @@ def test_the_start_follows_the_price_threshold_by_hand():
                       p_charge_max_kw=1.0, p_discharge_max_kw=1.0)
     sc = battery_day([charge_fast, drain, pinned])
     lp = centralized.day_lp(sc, sc.agents)
-    sf = _to_standard_form(lp)
-    flipped = np.zeros(sf.cost.size, dtype=bool)
-    basis = _enter_start(sf, day_start(sc, sc.agents), flipped)
-    assert basis is not None
-    x = _point(lp, sf.tab, basis, flipped, sf.upper)
+    state = LpTableau.of(lp)
+    assert _enter_start(state, day_start(sc, sc.agents))
+    x = _point(state)
     power, energy = x[12:30].reshape(3, 6), x[30:].reshape(3, 6)
     # charge_fast reaches emax within every charging step and stops there,
     # then discharges at its full 1 kW; drain charges and discharges at full
@@ -323,7 +321,7 @@ def test_the_start_follows_the_price_threshold_by_hand():
     held = np.array([[True, False, True, False, True, False],
                      [False, False, False, True, False, True],
                      [True] * 6])
-    basic = np.isin(np.arange(lp.n_vars), basis)
+    basic = np.isin(np.arange(lp.n_vars), state.basis)
     assert np.array_equal(basic[12:30].reshape(3, 6), held)
     assert np.array_equal(basic[30:].reshape(3, 6), ~held)
     assert_start_taken_with_the_phase_one_optimum(sc)

@@ -3,11 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-import coopgrid.lp as lp_module
 from bruteforce import enumerate_lp_vertices
 from coopgrid.centralized import day_lp, day_start
 from coopgrid.generate import GenSpec, gen_scenario
-from coopgrid.lp import (FEAS_TOL, LinearProgram, LpStart, _pivot, _system, _to_standard_form,
+from coopgrid.lp import (FEAS_TOL, LinearProgram, LpStart, LpTableau, _pivot, _system,
                          check_feasible, solve_lp)
 from coopgrid.scenario import load_scenario
 
@@ -366,11 +365,10 @@ def warm_pairs(seed: int, count: int):
 
 
 def test_warm_and_cold_solves_agree_on_perturbed_lps(monkeypatch):
-    # a warm solve that ends optimal builds no standard form
+    # a warm solve that ends optimal builds no fresh state
     built = []
-    to_standard_form = lp_module._to_standard_form
-    monkeypatch.setattr(lp_module, "_to_standard_form",
-                        lambda lp: built.append(lp) or to_standard_form(lp))
+    of = LpTableau.of
+    monkeypatch.setattr(LpTableau, "of", staticmethod(lambda lp: built.append(lp) or of(lp)))
     warm_optimal = not_optimal = 0
     for source, lp in warm_pairs(2024, 300):
         cold = solve_lp(lp)
@@ -388,6 +386,21 @@ def test_warm_and_cold_solves_agree_on_perturbed_lps(monkeypatch):
             not_optimal += 1
     # most solves end on the dual simplex; the fallback still decides the rest
     assert warm_optimal >= 200 and not_optimal >= 10
+
+
+def test_a_warm_solve_leaves_its_source_as_it_was():
+    # the second battery owner's stand-alone LP, twice warm from the first's
+    sc = gen_scenario(GenSpec(users=(10, 10), active=(5, 5), horizon=(48, 48), graph="ring"), 1000)
+    first, second = [[a] for a in sc.users if a.desd is not None][:2]
+    source = solve_lp(day_lp(sc, first), start=day_start(sc, first))
+    state = source.tableau
+    before = [state.tab.tobytes(), state.basis.tobytes(), state.flipped.tobytes()]
+    lp = day_lp(sc, second)
+    one, two = solve_lp(lp, warm=source), solve_lp(lp, warm=source)
+    assert [state.tab.tobytes(), state.basis.tobytes(), state.flipped.tobytes()] == before
+    assert one.status == two.status == "optimal" and one.phase1_pivots == 0
+    assert one.x.tobytes() == two.x.tobytes()
+    assert (one.phase1_pivots, one.phase2_pivots) == (two.phase1_pivots, two.phase2_pivots)
 
 
 def test_warm_solves_match_highs():
@@ -468,11 +481,13 @@ def test_check_feasible_uses_row_scaling():
 
 def test_check_feasible_is_relative_to_the_row():
     # a residual of 1e-6 on a row whose terms are 1e8 is rounding; on a row of
-    # unit terms it is a violation; a bound's violation stays absolute
+    # unit terms it is a violation; the same holds for a bound's violation
     lp = LinearProgram(f=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0e8], upper=[2.0e8, 2.0e8])
     assert check_feasible(lp, np.array([1.0e8 + 1e-6, 0.0])) == []
     assert check_feasible(dataclasses.replace(lp, b_eq=[1.0]), np.array([1.0 + 1e-6, 0.0])) != []
-    assert [v.kind for v in check_feasible(lp, np.array([2.0e8 + 1e-6, 1.0e8 + 1e-6]))] == ["upper"]
+    assert check_feasible(lp, np.array([2.0e8 + 1e-6, 1.0e8 + 1e-6])) == []
+    unit = dataclasses.replace(lp, b_eq=[1.0], upper=[2.0, 2.0])
+    assert [v.kind for v in check_feasible(unit, np.array([2.0 + 1e-6, 1.0 + 1e-6]))] == ["upper"]
 
 
 def test_shape_validation():
@@ -573,14 +588,3 @@ def test_started_phase_one_and_warm_solves_share_one_finish_on_day_lps(fixtures_
             solves += 1
     # three social LPs and six stand-alone ones: every start and warm source is taken
     assert solves == 9 and taken.tolist() == [9, 9]
-
-
-def test_the_standard_form_is_the_unscaled_system(fixtures_dir):
-    # at dt = 24 a link row's largest coefficient is 24: phase 1 alone divides
-    # it out, so the standard form a start enters on holds the LP's own rows
-    sc = load_scenario(fixtures_dir / "three_agent.json")
-    lp = day_lp(dataclasses.replace(sc, dt_hours=24.0), sc.agents)
-    tab = _to_standard_form(lp).tab
-    assert tab.tobytes() == _system(lp, lp.lower).tobytes()
-    assert tab[:-1, :-1].tobytes() == lp.a_eq.tobytes()
-    assert tab[:-1, -1].tobytes() == (lp.b_eq - lp.a_eq @ lp.lower).tobytes()
