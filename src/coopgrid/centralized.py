@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .lp import FEAS_TOL, LinearProgram, LpError, LpSolution, LpStart, solve_lp
 from .scenario import Scenario
 
 BALANCE_TOL_ORACLE = 1e-8
+CSV_SLICE_ROWS = 1024   # csv_text formats this many rows at a time: it holds text, not rows
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -263,13 +265,16 @@ def csv_text(header, rows) -> str:
     float as its repr), every other value as repr(float(v)), which reads back
     as the same float: re-runs are bit-identical and readers lose no precision.
     """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
     # a numpy float64 is a float too, but its repr is not a float's
-    writer.writerows([v if type(v) is float or isinstance(v, (int, str)) else repr(float(v))
-                      for v in row] for row in rows)
-    return out.getvalue()
+    rows = ([v if type(v) is float or isinstance(v, (int, str)) else repr(float(v)) for v in row]
+            for row in rows)
+    pieces, block = [], [header]
+    while block:
+        out = io.StringIO()
+        csv.writer(out).writerows(block)
+        pieces.append(out.getvalue())
+        block = list(itertools.islice(rows, CSV_SLICE_ROWS))
+    return "".join(pieces)
 
 
 def schedule_csv_text(scenario: Scenario, schedule: PowerSchedule) -> str:

@@ -14,9 +14,10 @@ Exit codes are part of the interface:
 
 solve, compare and allocate hand their artifacts to write_run, which writes
 them and then report.json.  All files go through a temp-and-rename so readers
-never see a half-written artifact.  Every CSV has the one format of
-centralized.csv_text and is bit-identical across re-runs on the same input;
-the JSON run report is not, because it records wall time.
+never see a half-written artifact, and get the mode a plain write gives them.
+Every CSV has the one format of centralized.csv_text and is bit-identical
+across re-runs on the same input; the JSON run report is not, because it
+records wall time.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -39,7 +40,8 @@ from .allocation import (
     allocate_distributed,
     consumption_costs,
 )
-from .centralized import InfeasibleScenarioError, csv_text, schedule_csv_text, solve_social
+from .centralized import (CSV_SLICE_ROWS, InfeasibleScenarioError, csv_text, schedule_csv_text,
+                          solve_social)
 from .codes import run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
 from .graph import GraphError
@@ -66,6 +68,7 @@ TRACE_FIELDS = ("iter", "J_est", "max_imbalance_kw",
                 "consensus_disagreement", "primal_step_norm")
 STOPS = {"iteration-cap": "at the iteration cap before the convergence test fired",
          "diverged": "when the run went non-finite"}   # how an unconverged run stopped
+WRITE_SLICE_CHARS = 1 << 16   # text write_atomic encodes at a time
 
 
 def _fail(code: int, message: str) -> int:
@@ -74,11 +77,15 @@ def _fail(code: int, message: str) -> int:
 
 
 def write_atomic(path: Path, text: str) -> None:
+    """Write `text` beside `path`, WRITE_SLICE_CHARS at a time, then rename it to `path`.
+    The file gets the mode a plain open(path, "w") gives it: 0o666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), WRITE_SLICE_CHARS):
+                fh.write(text[start:start + WRITE_SLICE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -120,12 +127,18 @@ def _solve_oracle(sc: Scenario):
     return schedule, j, {"schedule_centralized.csv": schedule_csv_text(sc, schedule)}
 
 
+def trace_csv_text(trace: np.ndarray) -> str:
+    """A run's trace CSV, one row per round, reading `trace` a slice of rows at a time."""
+    rows = itertools.chain.from_iterable(trace[s:s + CSV_SLICE_ROWS].tolist()
+                                         for s in range(0, len(trace), CSV_SLICE_ROWS))
+    return csv_text(TRACE_FIELDS, ([k, *row] for k, row in enumerate(rows)))
+
+
 def _solve_codes(sc: Scenario):
     """A distributed run and its schedule and trace CSVs."""
     result = run_codes(sc)
     return result, {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
-                    "trace_codes.csv": csv_text(TRACE_FIELDS, (
-                        [k, *row] for k, row in enumerate(result.trace.tolist())))}
+                    "trace_codes.csv": trace_csv_text(result.trace)}
 
 
 def cmd_solve(args) -> int:

@@ -22,7 +22,8 @@ from coopgrid.centralized import (
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 from coopgrid.lp import LpTableau, _enter_start, _point, solve_lp
-from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
+from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, Tariff, load_scenario,
+                               validate_scenario)
 from coopgrid.selfish import disagreement_point
 
 from lp_families import random_boxed_lp
@@ -325,6 +326,56 @@ def test_the_start_follows_the_price_threshold_by_hand():
     assert np.array_equal(basic[12:30].reshape(3, 6), held)
     assert np.array_equal(basic[30:].reshape(3, 6), ~held)
     assert_start_taken_with_the_phase_one_optimum(sc)
+
+
+def integer_day(sc):
+    """The day with its demand, renewables, battery boxes and grid limit rounded
+    to integers (emax at least emin + 1, rates at least 1) and dt 1 h; the
+    tariff as it is."""
+    def whole(values):
+        return tuple(np.round(values).tolist())
+
+    def box(d):
+        emin = round(d.emin_kwh)
+        emax = max(round(d.emax_kwh), emin + 1)
+        return DesdSpec(e0_kwh=float(min(max(round(d.e0_kwh), emin), emax)), emin_kwh=float(emin),
+                        emax_kwh=float(emax), p_charge_max_kw=float(max(round(d.p_charge_max_kw), 1)),
+                        p_discharge_max_kw=float(max(round(d.p_discharge_max_kw), 1)))
+    agents = tuple(dataclasses.replace(a, demand_kw=whole(a.demand_kw),
+                                       renewable_kw=whole(a.renewable_kw),
+                                       desd=None if a.desd is None else box(a.desd))
+                   for a in sc.agents)
+    return dataclasses.replace(sc, dt_hours=1.0, p_grid_max_kw=float(round(sc.p_grid_max_kw)),
+                               agents=agents)
+
+
+INTEGER_DAYS = ([(dict(users=(3, 6), active=(1, 4), horizon=(24, 24), graph="ring"), s)
+                 for s in range(20)]
+                + [(dict(users=(10, 10), active=(5, 5), horizon=(48, 48), graph="ring"), s)
+                   for s in range(1000, 1004)]
+                + [(dict(users=(20, 20), active=(10, 10), horizon=(96, 96), graph="ring"), 0)])
+
+
+def test_integer_days_have_integral_optima():
+    # with dt = 1 the day LP's matrix is a network matrix once its balance rows
+    # are scaled by dt and its link rows negated, so integer data gives integral
+    # vertices: every vertex the simplex returns, on every path, is integral
+    solves = 0
+    for spec, seed in INTEGER_DAYS:
+        sc = integer_day(gen_scenario(GenSpec(**spec), seed))
+        validate_scenario(sc)
+        lp = build_social_lp(sc)
+        sols = [solve_lp(lp, start=day_start(sc, sc.agents)), solve_lp(lp)]
+        warm = None
+        for a in sc.users:   # the stand-alone chain, as disagreement_point runs it
+            _, _, sol = solve_day(sc, [a], warm=warm)
+            sols.append(sol)
+            warm = sol if a.desd is not None else warm
+        for sol in sols:
+            assert sol.status == "optimal"
+            assert np.abs(sol.x - np.round(sol.x)).max() <= 1e-9, (spec, seed)
+        solves += len(sols)
+    assert solves == 211
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-200])

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import io
 import json
+import os
+import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -252,6 +256,64 @@ def test_solve_runs_are_bit_identical(fixtures_dir, tmp_path):
               "--out-dir", str(tmp_path / sub)])
     for name in ("schedule_codes.csv", "trace_codes.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_long_trace_is_formatted_a_slice_at_a_time():
+    # 20 000 rounds, as the fixture runs: the text is one csv.writer pass over
+    # every row, and formatting it never holds much more than the text and
+    # the one copy that joins its slices (2.05 times it; all rows at once took 3.9)
+    values = np.random.default_rng(0).random((20000, 4))
+    trace = np.rec.fromarrays(values.T, names=("j_est", "max_imbalance_kw",
+                                               "consensus_disagreement", "primal_step_norm"))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.TRACE_FIELDS)
+    writer.writerows([k, *row] for k, row in enumerate(values.tolist()))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = cli.trace_csv_text(trace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert text == expected.getvalue()
+    assert peak < 2.2 * len(text)
+
+
+def test_write_atomic_writes_a_text_of_many_slices_byte_for_byte(tmp_path):
+    text = "".join(f"{k},{k / 7!r}\r\n" for k in range(3 * cli.WRITE_SLICE_CHARS // 10))
+    assert len(text) > 3 * cli.WRITE_SLICE_CHARS
+    path = tmp_path / "out" / "long.csv"
+    cli.write_atomic(path, text)
+    assert path.read_bytes() == text.encode()
+    assert list(path.parent.iterdir()) == [path]   # no temp file left behind
+
+
+def test_write_atomic_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.write_atomic(tmp_path / "a.csv", "x\r\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_gives_a_file_the_mode_of_a_plain_write(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        cli.write_atomic(tmp_path / "a.csv", "x\r\n")
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode) == mode
 
 
 def test_allocate_table_balances(fixtures_dir, tmp_path, capsys):

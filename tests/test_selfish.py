@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from coopgrid import centralized
 from coopgrid.centralized import InfeasibleScenarioError, day_lp, solve_day, solve_social
+from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.scenario import AgentSpec, DesdSpec, Scenario, Tariff, load_scenario
+from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, Tariff, load_scenario,
+                               validate_scenario)
 from coopgrid.selfish import disagreement_point
 
 from tiny_scenarios import tiny_scenario
@@ -107,3 +111,30 @@ def test_the_fixture_chain_starts_each_owner_warm_from_the_last(fixtures_dir, mo
     d = disagreement_point(sc)
     assert solves == [(0, 15, True, False), (0, 28, False, True)]
     assert np.allclose(d, cold, rtol=1e-12, atol=0.0)
+
+
+def test_a_battery_never_raises_the_social_cost_or_its_owners_own():
+    # the day LP of a user with a battery contains the one without it (the
+    # battery idles), so J and that user's D cannot rise; no other user's
+    # stand-alone day changes
+    days = 0
+    for seed in range(40):
+        sc = gen_scenario(GenSpec(users=(3, 6), active=(0, 3), horizon=(24, 24), graph="ring"),
+                          seed)
+        user = next((a for a in sc.users if a.desd is None), None)
+        if user is None:
+            continue
+        battery = DesdSpec(e0_kwh=2.0, emin_kwh=0.5, emax_kwh=6.0,
+                           p_charge_max_kw=2.0, p_discharge_max_kw=2.0)
+        owner = dataclasses.replace(user, role="active", desd=battery)
+        more = dataclasses.replace(sc, agents=tuple(owner if a is user else a for a in sc.agents))
+        validate_scenario(more)
+        (_, j), (_, j_more) = solve_social(sc), solve_social(more)
+        assert j_more <= j + 1e-9 * (1.0 + abs(j))
+        d, d_more = disagreement_point(sc), disagreement_point(more)
+        k = sc.users.index(user)
+        assert d_more[k] <= d[k] + 1e-9 * (1.0 + abs(d[k]))
+        others = np.arange(len(d)) != k
+        assert np.all(np.abs(d_more[others] - d[others]) <= 1e-9 * (1.0 + np.abs(d[others])))
+        days += 1
+    assert days == 39
