@@ -2,9 +2,13 @@
 
 Each user first solves its own day in isolation; those stand-alone costs are
 what anyone would pay without the microgrid.  Cooperation lowers the total,
-and the equal-savings split hands every user the identical discount, so
-nobody prefers to leave.  The same split is then recomputed with nothing but
-neighbor-to-neighbor averaging to show the graph version agrees.
+and the equal-savings split hands every user the identical discount, so no
+single user prefers to leave: each pays at most its stand-alone cost.  A group
+can still prefer to leave together.  On this fixture users 2 and 3 would run
+their own two-user day for -6.2472, against -6.1416 for their two shares, so
+the pair would pay 0.106 less on its own.  The same split is then recomputed
+with nothing but neighbor-to-neighbor averaging to show the graph version
+agrees.
 
 Run from the repository root:  python3 demos/fair_split.py
 """

@@ -166,8 +166,7 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
     ends it with its own schedule, dropping the rest of its chunk; or else
     `max_iters` rounds ran ("iteration-cap").
     """
-    if config is None:
-        config = CodesConfig.from_scenario(scenario)
+    config = config or scenario.codes
     state, chunks, left = CodesState(scenario, config), [], config.max_iters
     while left:
         rows = state.run_chunk(min(CHUNK, left))
@@ -182,8 +181,9 @@ def run_codes(scenario: Scenario, config: CodesConfig | None = None) -> CodesRes
         chunks.append(rows)
     else:
         status, final = "iteration-cap", state.x
-    trace = np.rec.fromarrays(np.concatenate(chunks).T, names=(
-        "j_est", "max_imbalance_kw", "consensus_disagreement", "primal_step_norm"))
+    # one copy of the rounds, its columns named by a structured view
+    names = ("j_est", "max_imbalance_kw", "consensus_disagreement", "primal_step_norm")
+    trace = np.concatenate(chunks).view([(n, float) for n in names])[:, 0].view(np.recarray)
 
     buy, sell = net_exchange(final[0], final[1])
     schedule = PowerSchedule(

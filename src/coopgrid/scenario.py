@@ -3,7 +3,10 @@
 A scenario bundles everything one day-ahead run needs: the horizon and step
 width, the buy/sell tariff, the point of common coupling limit, one agent per
 bus (exactly one of them the grid interface), the communication graph and
-the distributed solver's settings, checked with the rest when it is loaded.
+the distributed solver's settings (the file's `codes` block, read into a
+`CodesConfig`), checked with the rest when it is loaded.  Dump and digest
+write only what differs from a default, so a file that spells out a default
+names the same run as one that leaves it out.
 
 Units are fixed by field name: kW for power, kWh for energy, hours for time,
 currency units per kWh for prices.  Sign convention for storage: positive
@@ -49,7 +52,7 @@ class DesdSpec:
     p_discharge_max_kw: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodesConfig:
     rho: float = 0.5            # quadratic penalty weight
     xi1_grid: float = 5e-3      # primal step, grid exchange block
@@ -64,7 +67,7 @@ class CodesConfig:
         if not (math.isfinite(self.max_iters) and self.max_iters == int(self.max_iters) >= 1):
             raise ScenarioValidationError(
                 f"codes.max_iters must be an integer >= 1, got {self.max_iters!r}")
-        self.max_iters = int(self.max_iters)
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         for name in ("rho", "xi1_grid", "xi1_desd", "xi2", "xi3", "tol_balance_kw", "tol_step"):
             value, tolerance = getattr(self, name), name.startswith("tol_")
             if not (math.isfinite(value) and (value >= 0 if tolerance else value > 0)):
@@ -73,11 +76,8 @@ class CodesConfig:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> CodesConfig:
-        """Defaults overridden by the scenario's own solver settings, if any."""
-        known = {f.name for f in fields(cls)}
-        for key, _ in scenario.codes:
-            _require(key in known, f"unknown solver setting {key!r} in scenario")
-        return cls(**dict(scenario.codes))
+        """The scenario's own solver settings: the defaults where its file sets none."""
+        return scenario.codes
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Scenario:
     tariff: Tariff
     agents: tuple[AgentSpec, ...]        # sorted by id, grid included
     graph: CommGraph
-    codes: tuple[tuple[str, float], ...] = ()   # CodesConfig fields set by the file
+    codes: CodesConfig = CodesConfig()   # the distributed solver's settings
 
     @property
     def users(self) -> tuple[AgentSpec, ...]:
@@ -173,7 +173,7 @@ def validate_scenario(sc: Scenario) -> None:
              "the split bound (n_users + 1) * p_grid_max_kw * dt_hours * sum(tariff.buy) overflows")
     _require(set(sc.graph.node_ids) == set(ids),
              "graph node set differs from the agent id set")
-    CodesConfig.from_scenario(sc)   # every command refuses settings that solve --codes would
+    _require(isinstance(sc.codes, CodesConfig), "codes must be a CodesConfig")
 
 
 # --- JSON layer ----------------------------------------------------------------
@@ -267,11 +267,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise ScenarioValidationError("agent ids are not unique")
-    codes = ()
-    if "codes" in data:
-        if not isinstance(data["codes"], dict):
-            raise ScenarioFormatError("codes must be an object of numeric settings")
-        codes = tuple(sorted((str(k), _number(v, f"codes.{k}")) for k, v in data["codes"].items()))
+    codes = data.get("codes", {})
+    if not isinstance(codes, dict):
+        raise ScenarioFormatError("codes must be an object of numeric settings")
+    _check_keys(codes, CodesConfig, "codes")
+    # every command refuses the settings that solve --codes would
+    codes = CodesConfig(**{k: _number(v, f"codes.{k}") for k, v in codes.items()})
     try:
         graph = metropolis_weights(ids, edges)
     except GraphError as exc:
@@ -332,17 +333,10 @@ def _plain(value):
     return value
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    out = _plain(sc)
-    if sc.codes:
-        out["codes"] = dict(sc.codes)
-    return out
-
-
 def dump_scenario(sc: Scenario) -> str:
-    return json.dumps(scenario_to_dict(sc), indent=2) + "\n"
+    return json.dumps(_plain(sc), indent=2) + "\n"
 
 
 def scenario_digest(sc: Scenario) -> str:
-    canon = json.dumps(scenario_to_dict(sc), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(_plain(sc), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

@@ -17,8 +17,9 @@ from coopgrid import centralized
 from coopgrid.centralized import schedule_cost
 from coopgrid.cli import main
 from coopgrid.lp import LpCycleError
-from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, ScenarioValidationError, Tariff,
-                               dump_scenario, load_scenario, scenario_digest)
+from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, ScenarioFormatError,
+                               ScenarioValidationError, Tariff, dump_scenario, load_scenario,
+                               scenario_digest)
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 
@@ -30,7 +31,7 @@ def write_scenario(path: Path, sc) -> Path:
 
 def with_codes(sc, **settings):
     """The scenario with some of its solver settings replaced."""
-    return dataclasses.replace(sc, codes=tuple({**dict(sc.codes), **settings}.items()))
+    return dataclasses.replace(sc, codes=dataclasses.replace(sc.codes, **settings))
 
 
 def _refuse_constant(name):
@@ -95,20 +96,23 @@ def test_non_finite_number_is_validation_error(fixtures_dir, tmp_path, capsys, n
     assert not out.exists()
 
 
-@pytest.mark.parametrize("codes", [(("max_iters", -5.0),), (("bogus", 1.0),)],
+@pytest.mark.parametrize("key, value, error", [("max_iters", -5.0, ScenarioValidationError),
+                                                ("bogus", 1.0, ScenarioFormatError)],
                          ids=["out-of-range", "unknown-key"])
-def test_validate_checks_solver_settings(fixtures_dir, tmp_path, capsys, codes):
+def test_validate_checks_solver_settings(fixtures_dir, tmp_path, capsys, key, value, error):
     # the solver settings are checked when the file is loaded, so every
     # command that reads a scenario refuses what solve --codes refuses
-    sc = load_scenario(arbitrage_path(fixtures_dir))
-    path = write_scenario(tmp_path / "bad_codes.json", dataclasses.replace(sc, codes=codes))
-    with pytest.raises(ScenarioValidationError, match=codes[0][0]):
+    data = json.loads(Path(arbitrage_path(fixtures_dir)).read_text())
+    data["codes"] = {key: value}
+    path = tmp_path / "bad_codes.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error, match=key):
         load_scenario(path)
     out = tmp_path / "out"
     for command in (["validate"], ["weights"], ["solve"], ["solve", "--codes"], ["allocate"],
                     ["allocate", "--distributed"], ["compare"]):
         assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2, command
-        assert codes[0][0] in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -241,8 +245,7 @@ def test_solve_codes_writes_trace(fixtures_dir, tmp_path):
 
 def test_solve_codes_iteration_cap_exits_nonzero_but_writes(tmp_path, fixtures_dir):
     sc = load_scenario(arbitrage_path(fixtures_dir))
-    starved = write_scenario(tmp_path / "starved.json",
-                             dataclasses.replace(sc, codes=(("max_iters", 40.0),)))
+    starved = write_scenario(tmp_path / "starved.json", with_codes(sc, max_iters=40))
     out = tmp_path / "out"
     code = main(["solve", "--codes", "--scenario", str(starved), "--out-dir", str(out)])
     assert code == 4
@@ -530,10 +533,8 @@ def test_compare_zero_tolerance_fails(fixtures_dir, tmp_path):
 
 def test_compare_divergent_steps_reports_nonconvergence(fixtures_dir, tmp_path):
     sc = load_scenario(arbitrage_path(fixtures_dir))
-    wild = write_scenario(
-        tmp_path / "wild.json",
-        dataclasses.replace(sc, codes=(("max_iters", 400.0), ("xi1_desd", 10.0),
-                                       ("xi1_grid", 10.0))))
+    wild = write_scenario(tmp_path / "wild.json",
+                          with_codes(sc, max_iters=400, xi1_desd=10.0, xi1_grid=10.0))
     out = tmp_path / "out"
     code = main(["compare", "--scenario", str(wild), "--out-dir", str(out)])
     assert code == 4

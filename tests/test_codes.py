@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from coopgrid.centralized import check_schedule, solve_social
 from coopgrid.codes import CHUNK, CodesConfig, CodesState, run_codes
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.scenario import (AgentSpec, Scenario, ScenarioValidationError, Tariff,
-                               load_scenario)
+from coopgrid.scenario import (AgentSpec, Scenario, ScenarioFormatError, ScenarioValidationError,
+                               Tariff, load_scenario, scenario_from_dict)
 
 
 def passive_scenario(demand, buy, sell, dt=1.0):
@@ -40,10 +42,10 @@ def test_config_defaults_overridden_by_fixture(fixtures_dir):
 
 
 def test_unknown_solver_setting_rejected(fixtures_dir):
-    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
-    bad = dataclasses.replace(sc, codes=(("step_size", 0.1),))
-    with pytest.raises(ScenarioValidationError, match="step_size"):
-        CodesConfig.from_scenario(bad)
+    data = json.loads((fixtures_dir / "arbitrage_t2.json").read_text())
+    data["codes"] = {"step_size": 0.1}
+    with pytest.raises(ScenarioFormatError, match="codes: unknown field 'step_size'"):
+        scenario_from_dict(data)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -52,10 +54,9 @@ def test_unknown_solver_setting_rejected(fixtures_dir):
     ("rho", 0.0), ("xi1_grid", -1.0), ("xi1_desd", float("inf")), ("xi2", float("nan")),
     ("xi3", float("nan")), ("tol_balance_kw", -1e-3), ("tol_step", float("nan")),
 ])
-def test_out_of_range_solver_setting_rejected(fixtures_dir, key, value):
-    sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
+def test_out_of_range_solver_setting_rejected(key, value):
     with pytest.raises(ScenarioValidationError, match=key):
-        CodesConfig.from_scenario(dataclasses.replace(sc, codes=((key, value),)))
+        CodesConfig(**{key: value})
 
 
 def test_three_agent_cost_matches_oracle(fixtures_dir):
@@ -301,6 +302,25 @@ def test_history_buffers_stay_small_whatever_the_iteration_cap():
     state = CodesState(gen_scenario(spec, seed=1), CodesConfig(max_iters=10**12))
     assert len(state.xs) == len(state.ests) == CHUNK + 1
     assert state.xs.nbytes + state.ests.nbytes < 1e6
+
+
+def test_a_run_keeps_one_copy_of_its_trace(fixtures_dir):
+    # the chunks' rounds are concatenated once, and the record array is a view
+    # of that copy: the fixture's 20 000-round trace dominates the peak
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_codes(sc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert res.iterations == 20000
+    assert peak < 2.8 * res.trace.nbytes
 
 
 def test_runs_are_deterministic(fixtures_dir):

@@ -1,15 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from coopgrid.scenario import (
+    CodesConfig,
     ScenarioFormatError,
     ScenarioValidationError,
     dump_scenario,
     load_scenario,
     scenario_digest,
     scenario_from_dict,
+    validate_scenario,
 )
 
 
@@ -68,9 +71,28 @@ def test_codes_block_round_trips():
     d = base_dict()
     d["codes"] = {"rho": 0.7, "max_iters": 500}
     sc = scenario_from_dict(d)
-    assert dict(sc.codes) == {"rho": 0.7, "max_iters": 500.0}
+    assert sc.codes == CodesConfig(rho=0.7, max_iters=500)
     again = scenario_from_dict(json.loads(dump_scenario(sc)))
     assert again == sc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.codes.rho = 0.1
+    with pytest.raises(ScenarioValidationError, match="codes"):
+        validate_scenario(dataclasses.replace(sc, codes={"rho": 0.7}))
+
+
+def test_spelled_out_defaults_name_the_same_run():
+    # a scenario is dumped and digested by what it sets, not by how its file spells it
+    terse, spelled, bare = base_dict(), base_dict(), base_dict()
+    terse["codes"] = {"rho": 0.7}
+    spelled["codes"] = {"rho": 0.7, "xi3": 0.1, "max_iters": 20000, "tol_step": 1e-6}
+    a, b = scenario_from_dict(terse), scenario_from_dict(spelled)
+    assert a == b
+    assert dump_scenario(a) == dump_scenario(b)
+    assert scenario_digest(a) == scenario_digest(b)
+    spelled["codes"] = {"xi2": 5e-2, "tol_balance_kw": 1e-3}
+    a, b = scenario_from_dict(bare), scenario_from_dict(spelled)
+    assert dump_scenario(a) == dump_scenario(b)
+    assert scenario_digest(a) == scenario_digest(b)
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -100,6 +122,7 @@ def test_key_duplicated_inside_desd_rejected(tmp_path):
     (lambda d: d["agents"][0].update(id="1"), "id"),
     (lambda d: d["agents"][1]["desd"].pop("e0_kwh"), "e0_kwh"),
     (lambda d: d["graph"].update(edges=[[1, 2], [2]]), "edges"),
+    (lambda d: d.update(codes={"rho": "0.5"}), "codes.rho"),
 ])
 def test_format_errors_name_the_field(mutate, needle):
     d = base_dict()

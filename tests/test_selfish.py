@@ -138,3 +138,26 @@ def test_a_battery_never_raises_the_social_cost_or_its_owners_own():
         assert np.all(np.abs(d_more[others] - d[others]) <= 1e-9 * (1.0 + np.abs(d[others])))
         days += 1
     assert days == 39
+
+
+def test_more_renewables_never_raise_the_social_cost_or_their_owners_own():
+    # while the added surplus stays inside the grid limit (the generator leaves
+    # that margin), the old schedule stays feasible, drawing less or exporting
+    # more at a sell price >= 0, so J and the owner's D cannot rise; no other
+    # user's stand-alone day changes
+    for seed in range(40):
+        sc = gen_scenario(GenSpec(users=(3, 6), active=(1, 4), horizon=(24, 24), graph="ring"),
+                          seed)
+        user = sc.active_users[0]
+        extra = np.random.default_rng(seed).uniform(0.0, 1.0, sc.horizon)
+        renewable = tuple(np.add(user.renewable_kw, extra).tolist())
+        sunnier = dataclasses.replace(user, renewable_kw=renewable)
+        more = dataclasses.replace(sc, agents=tuple(sunnier if a is user else a for a in sc.agents))
+        validate_scenario(more)
+        (_, j), (_, j_more) = solve_social(sc), solve_social(more)
+        assert j_more <= j + 1e-9 * (1.0 + abs(j))
+        d, d_more = disagreement_point(sc), disagreement_point(more)
+        k = sc.users.index(user)
+        assert d_more[k] <= d[k] + 1e-9 * (1.0 + abs(d[k]))
+        others = np.arange(len(d)) != k
+        assert np.all(np.abs(d_more[others] - d[others]) <= 1e-9 * (1.0 + np.abs(d[others])))
