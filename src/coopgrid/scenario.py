@@ -128,7 +128,7 @@ def validate_scenario(sc: Scenario) -> None:
     for k in range(t):
         _require(sc.tariff.buy[k] >= 0, f"tariff.buy[{k}] is negative")
         _require(sc.tariff.sell[k] >= 0, f"tariff.sell[{k}] is negative")
-        _require(sc.tariff.sell[k] <= sc.tariff.buy[k] + 1e-12,
+        _require(sc.tariff.sell[k] <= sc.tariff.buy[k],
                  f"tariff.sell[{k}] exceeds tariff.buy[{k}]; that would pay for round-tripping energy")
     ids = [a.id for a in sc.agents]
     _require(len(set(ids)) == len(ids), "agent ids are not unique")
@@ -179,54 +179,57 @@ def validate_scenario(sc: Scenario) -> None:
 # --- JSON layer ----------------------------------------------------------------
 
 
-def _is_number(v) -> bool:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:        # an integer too large for a float
-        return False
+def _object(obj, cls, where: str, wrong: str = "") -> dict:
+    """A file object whose keys are `cls`'s fields; a field with a default is optional.
+    `wrong` replaces the message for a value that is no object."""
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(wrong or f"{where} must be an object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ScenarioFormatError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+    if missing:
+        raise ScenarioFormatError(f"{where}: missing field {sorted(missing)[0]!r}")
+    return obj
 
 
-def _float_list(obj, field: str) -> tuple[float, ...]:
-    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
-        raise ScenarioFormatError(f"{field} must be a list of finite numbers")
-    return tuple(float(v) for v in obj)
+def _integer(v, where: str, wrong: str = "") -> int:
+    if type(v) is not int:       # a bool is no integer here
+        raise ScenarioFormatError(wrong or f"{where} must be an integer")
+    return v
 
 
 def _number(obj, field: str) -> float:
-    if not _is_number(obj):
-        raise ScenarioFormatError(f"{field} must be a finite number")
-    return float(obj)
+    try:
+        if type(obj) in (int, float) and math.isfinite(obj):
+            return float(obj)
+    except OverflowError:        # an integer too large for a float
+        pass
+    raise ScenarioFormatError(f"{field} must be a finite number")
 
 
-def _check_keys(mapping: dict, cls, where: str) -> None:
-    """A file object's keys are its dataclass's fields; a field with a default is optional."""
-    unknown = set(mapping) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ScenarioFormatError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(mapping)
-    if missing:
-        raise ScenarioFormatError(f"{where}: missing field {sorted(missing)[0]!r}")
+def _float_list(obj, field: str) -> tuple[float, ...]:
+    if isinstance(obj, list) and set(map(type, obj)) <= {int, float}:
+        try:
+            values = tuple(map(float, obj))
+            if all(map(math.isfinite, values)):
+                return values
+        except OverflowError:    # an integer too large for a float
+            pass
+    raise ScenarioFormatError(f"{field} must be a list of finite numbers")
 
 
 def _parse_agent(obj, where: str) -> AgentSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where} must be an object")
-    _check_keys(obj, AgentSpec, where)
-    if not isinstance(obj["id"], int) or isinstance(obj["id"], bool):
-        raise ScenarioFormatError(f"{where}.id must be an integer")
+    obj = _object(obj, AgentSpec, where)
+    agent_id = _integer(obj["id"], f"{where}.id")
     if not isinstance(obj["role"], str):
         raise ScenarioFormatError(f"{where}.role must be a string")
-    desd = None
-    if obj.get("desd") is not None:
-        dd = obj["desd"]
-        if not isinstance(dd, dict):
-            raise ScenarioFormatError(f"{where}.desd must be an object")
-        _check_keys(dd, DesdSpec, f"{where}.desd")
-        desd = DesdSpec(**{k: _number(v, f"{where}.desd.{k}") for k, v in dd.items()})
+    desd = obj.get("desd")
+    if desd is not None:
+        desd = DesdSpec(**{k: _number(v, f"{where}.desd.{k}")
+                           for k, v in _object(desd, DesdSpec, f"{where}.desd").items()})
     return AgentSpec(
-        id=obj["id"],
+        id=agent_id,
         role=obj["role"],
         demand_kw=_float_list(obj["demand_kw"], f"{where}.demand_kw"),
         renewable_kw=_float_list(obj["renewable_kw"], f"{where}.renewable_kw"),
@@ -235,15 +238,9 @@ def _parse_agent(obj, where: str) -> AgentSpec:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("top level must be an object")
-    _check_keys(data, Scenario, "scenario")
-    if not isinstance(data["horizon"], int) or isinstance(data["horizon"], bool):
-        raise ScenarioFormatError("horizon must be an integer")
-    tr = data["tariff"]
-    if not isinstance(tr, dict):
-        raise ScenarioFormatError("tariff must be an object")
-    _check_keys(tr, Tariff, "tariff")
+    _object(data, Scenario, "scenario", "top level must be an object")
+    horizon = _integer(data["horizon"], "horizon")
+    tr = _object(data["tariff"], Tariff, "tariff")
     if not isinstance(data["agents"], list) or not data["agents"]:
         raise ScenarioFormatError("agents must be a non-empty list")
     agents = tuple(sorted((_parse_agent(a, f"agents[{k}]") for k, a in enumerate(data["agents"])),
@@ -260,17 +257,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioFormatError("graph.edges must be a list of [i, j] pairs")
     edges = []
     for k, e in enumerate(gr["edges"]):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)):
-            raise ScenarioFormatError(f"graph.edges[{k}] must be a pair of integer node ids")
-        edges.append((e[0], e[1]))
+        pair = f"graph.edges[{k}] must be a pair of integer node ids"
+        if not isinstance(e, list) or len(e) != 2:
+            raise ScenarioFormatError(pair)
+        edges.append((_integer(e[0], "", pair), _integer(e[1], "", pair)))
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise ScenarioValidationError("agent ids are not unique")
-    codes = data.get("codes", {})
-    if not isinstance(codes, dict):
-        raise ScenarioFormatError("codes must be an object of numeric settings")
-    _check_keys(codes, CodesConfig, "codes")
+    codes = _object(data.get("codes", {}), CodesConfig, "codes",
+                    "codes must be an object of numeric settings")
     # every command refuses the settings that solve --codes would
     codes = CodesConfig(**{k: _number(v, f"codes.{k}") for k, v in codes.items()})
     try:
@@ -278,7 +273,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except GraphError as exc:
         raise ScenarioValidationError(f"graph: {exc}") from exc
     sc = Scenario(
-        horizon=data["horizon"],
+        horizon=horizon,
         dt_hours=_number(data["dt_hours"], "dt_hours"),
         p_grid_max_kw=_number(data["p_grid_max_kw"], "p_grid_max_kw"),
         tariff=Tariff(buy=_float_list(tr["buy"], "tariff.buy"),

@@ -8,6 +8,7 @@ from coopgrid.allocation import (
     consumption_costs,
 )
 from coopgrid.centralized import solve_social
+from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 from coopgrid.scenario import AgentSpec, Scenario, Tariff
 from coopgrid.selfish import disagreement_point
@@ -49,6 +50,21 @@ def test_allocation_invariants_on_random_scenarios():
         assert np.max(np.abs(savings - report.epsilon)) <= 1e-12
         assert report.epsilon >= -1e-9
         assert np.all(report.allocated <= report.selfish + 1e-6)
+
+
+def test_cooperation_never_costs_more_on_generated_days():
+    # the generator's grid limit covers every user's worst import and export at
+    # once, so the stand-alone plans together are a plan of the whole day: J <=
+    # sum(D), the split exists, and each user's saving epsilon is nonnegative
+    for seed in range(40):
+        sc = gen_scenario(GenSpec(users=(3, 6), active=(1, 4), horizon=(24, 24), graph="ring"),
+                          seed)
+        _, j = solve_social(sc)
+        d = disagreement_point(sc)
+        slack = 1e-9 * (1.0 + abs(j))
+        assert j <= d.sum() + slack, seed
+        for report in (allocate_centralized(sc, j, d), allocate_distributed(sc, j, d)):
+            assert report.epsilon >= -slack, seed
 
 
 def test_bargaining_error_when_cooperation_hurts():

@@ -19,7 +19,7 @@ from coopgrid.cli import main
 from coopgrid.lp import LpCycleError
 from coopgrid.scenario import (AgentSpec, DesdSpec, Scenario, ScenarioFormatError,
                                ScenarioValidationError, Tariff, dump_scenario, load_scenario,
-                               scenario_digest)
+                               scenario_digest, scenario_from_dict)
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
 
@@ -113,6 +113,27 @@ def test_validate_checks_solver_settings(fixtures_dir, tmp_path, capsys, key, va
                     ["allocate", "--distributed"], ["compare"]):
         assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2, command
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("p_grid_max_kw", [1000.0, 30.0])
+def test_sell_price_above_a_tiny_buy_price_is_refused(fixtures_dir, tmp_path, capsys, p_grid_max_kw):
+    # selling at 1e-12 what is bought at 1e-13 pays for buying and selling in
+    # one step; an absolute 1e-12 slack in the tariff rule let such a day load,
+    # and then the LP did both (exit 7 at a 1000 kW grid limit, at 30 kW a J
+    # that the schedule does not cost, with exit 0)
+    data = json.loads((fixtures_dir / "three_agent.json").read_text())
+    del data["codes"]
+    t = data["horizon"]
+    data.update(p_grid_max_kw=p_grid_max_kw, tariff={"buy": [1e-13] * t, "sell": [1e-12] * t})
+    with pytest.raises(ScenarioValidationError, match=r"tariff\.sell\[0\]"):
+        scenario_from_dict(data)
+    path = tmp_path / "tiny_prices.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for command in (["validate"], ["solve"], ["allocate"], ["allocate", "--distributed"]):
+        assert main([*command, "--scenario", str(path), "--out-dir", str(out)]) == 2, command
+        assert "tariff.sell[0]" in capsys.readouterr().err
         assert not out.exists()
 
 

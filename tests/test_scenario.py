@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +166,75 @@ def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict(d)
     assert needle in str(exc.value)
+
+
+# --- a seeded fuzz of the reader -------------------------------------------------
+# Each draw is the fixture with one or two faults from a fixed menu made to its
+# data, or one made to its text.  The reader either loads a draw or refuses it
+# with one of its own two errors, and what it loads it writes back as it read it.
+
+FUZZ_SEEDS = range(1000)
+FUZZ_VALUES = (None, True, "1", [], {}, [True], ["1"], 2**1100, float("nan"), -1.0,
+               [1e308, 1e308])
+FUZZ_TOKENS = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+def _containers(value):
+    """Every object and list inside `value`, `value` included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in (value.values() if isinstance(value, dict) else value):
+            yield from _containers(child)
+
+
+def fuzz_draw(text: str, seed: int):
+    """The scenario file `text` with its faults: a dict, or a file's text."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.2:
+        if rng.random() < 0.5:       # a non-finite constant, or a number past float range
+            spots = list(re.finditer(r"(?<=[ \[])-?\d[\d.eE+-]*", text))
+            m = spots[rng.integers(len(spots))]
+            fault = FUZZ_TOKENS[rng.integers(len(FUZZ_TOKENS))]
+        else:                        # a key repeated within its object
+            spots = list(re.finditer(r'"\w+": ', text))
+            m = spots[rng.integers(len(spots))]
+            fault = m.group() + "0, " + m.group()
+        return text[:m.start()] + fault + text[m.end():]
+    data = json.loads(text)
+    for _ in range(rng.integers(1, 3)):
+        kind = ("drop", "add", "replace")[rng.integers(3)]
+        pool = [c for c in _containers(data)
+                if (isinstance(c, dict) or kind == "replace") and (c or kind == "add")]
+        box = pool[rng.integers(len(pool))]
+        if kind == "add":
+            box["extra"] = 1.0
+            continue
+        keys = list(box) if isinstance(box, dict) else range(len(box))
+        key = keys[rng.integers(len(keys))]
+        if kind == "drop":
+            del box[key]
+        else:
+            box[key] = copy.deepcopy(FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))])
+    return data
+
+
+def test_fuzzed_fixture_loads_or_is_refused_and_round_trips(fixtures_dir, tmp_path):
+    text = (fixtures_dir / "three_agent.json").read_text()
+    path = tmp_path / "draw.json"
+    loads = 0
+    for seed in FUZZ_SEEDS:
+        draw = fuzz_draw(text, seed)
+        try:
+            if isinstance(draw, str):
+                path.write_text(draw)
+                sc = load_scenario(path)
+            else:
+                sc = scenario_from_dict(draw)
+        except (ScenarioFormatError, ScenarioValidationError):
+            continue
+        loads += 1
+        path.write_text(dump_scenario(sc))
+        again = load_scenario(path)
+        assert scenario_digest(again) == scenario_digest(sc), seed
+        assert dump_scenario(again) == dump_scenario(sc), seed
+    assert 0 < loads < len(FUZZ_SEEDS)
