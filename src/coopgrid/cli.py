@@ -7,8 +7,10 @@ Exit codes are part of the interface:
   4  the distributed run ended iteration-cap or diverged, or consensus ran out
      of rounds (artifacts are still written, except when allocate --distributed
      cannot finish its consensus, out of rounds or handed a non-finite social
-     cost by a diverged run: with no split there is nothing to write)
-  5  bargaining failed: cooperation does not beat standing alone
+     cost by a diverged run, or when allocate cannot split the cost of such a
+     run: with no split there is nothing to write)
+  5  bargaining failed: cooperation does not beat standing alone (the cost
+     comes from the LP or from a converged distributed run)
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
 
@@ -178,16 +180,18 @@ def cmd_allocate(args) -> int:
     selfish = disagreement_point(sc)
     result = run_codes(sc) if args.social_method == "codes" else None
     schedule, j = (result.schedule, result.j) if result else solve_social(sc)
-    if args.distributed:
-        try:
-            report = allocate_distributed(sc, j, selfish, tol=args.graph_tol)
-        except GraphError as exc:
-            # the graph itself was validated at load time, so this is the
-            # consensus refusing a non-finite J (a diverged codes run) or
-            # running out of rounds: there is no split to write
-            return _fail(EXIT_NO_CONVERGENCE, str(exc))
-    else:
-        report = allocate_centralized(sc, j, selfish)
+    try:
+        report = (allocate_distributed(sc, j, selfish, tol=args.graph_tol) if args.distributed
+                  else allocate_centralized(sc, j, selfish))
+    except GraphError as exc:
+        # the graph itself was validated at load time, so this is the
+        # consensus refusing a non-finite J (a diverged codes run) or
+        # running out of rounds: there is no split to write
+        return _fail(EXIT_NO_CONVERGENCE, str(exc))
+    except BargainingError as exc:
+        if result and not result.converged:   # the run's J, not the day, may be at fault
+            return _fail(EXIT_NO_CONVERGENCE, f"run ended {result.status} and its split failed: {exc}")
+        raise
     consumption, netting_residual = consumption_costs(sc, schedule)
     rows = list(zip(report.agent_ids, report.selfish, report.allocated, consumption))
     costs = csv_text(["agent", "D", "J_alloc", "consumption", "epsilon"],

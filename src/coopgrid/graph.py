@@ -36,64 +36,37 @@ class ConsensusState:
     iteration: int = 0
 
 
-def _normalize_edges(edges, node_ids) -> tuple[tuple[int, int], ...]:
-    seen = set()
-    out = []
-    idset = set(node_ids)
+def metropolis_weights(node_ids, edges) -> CommGraph:
+    """Build a CommGraph with Metropolis mixing weights.
+
+    One pass over `edges` maps each node to its neighbours, from which the
+    walk, the sorted edges and the degrees all read.  Raises GraphError when
+    the graph is disconnected or an edge is malformed.
+    """
+    node_ids = tuple(sorted(int(i) for i in node_ids))
+    nbrs = {i: set() for i in node_ids}
+    if len(nbrs) != len(node_ids):
+        raise GraphError("duplicate node ids")
     for a, b in edges:
         a, b = int(a), int(b)
         if a == b:
             raise GraphError(f"self-loop on node {a}")
-        if a not in idset or b not in idset:
+        if a not in nbrs or b not in nbrs:
             raise GraphError(f"edge ({a}, {b}) references an unknown node")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
-    return tuple(sorted(out))
-
-
-def is_connected(node_ids, edges) -> bool:
-    ids = list(node_ids)
-    if not ids:
-        return False
-    adj = {i: set() for i in ids}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(ids)
-
-
-def metropolis_weights(node_ids, edges) -> CommGraph:
-    """Build a CommGraph with Metropolis mixing weights.
-
-    Raises GraphError when the graph is disconnected or an edge is malformed;
-    a disconnected graph can never reach agreement on a common average.
-    """
-    node_ids = tuple(sorted(int(i) for i in node_ids))
-    if len(set(node_ids)) != len(node_ids):
-        raise GraphError("duplicate node ids")
-    edges = _normalize_edges(edges, node_ids)
-    if not is_connected(node_ids, edges):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    seen, stack = set(node_ids[:1]), list(node_ids[:1])
+    while stack:   # depth-first walk from the first node
+        fresh = nbrs[stack.pop()] - seen
+        seen |= fresh
+        stack.extend(fresh)
+    if not node_ids or len(seen) < len(node_ids):
         raise GraphError("communication graph is not connected")
-    n = len(node_ids)
     pos = {v: k for k, v in enumerate(node_ids)}
-    deg = np.zeros(n)
+    edges = tuple(sorted((a, b) for a in node_ids for b in nbrs[a] if a < b))
+    w = np.zeros((len(node_ids), len(node_ids)))
     for a, b in edges:
-        deg[pos[a]] += 1
-        deg[pos[b]] += 1
-    w = np.zeros((n, n))
-    for a, b in edges:
-        i, j = pos[a], pos[b]
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        w[pos[a], pos[b]] = w[pos[b], pos[a]] = 1.0 / (1.0 + max(len(nbrs[a]), len(nbrs[b])))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return CommGraph(node_ids, edges, w)
 

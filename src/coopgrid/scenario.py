@@ -295,7 +295,9 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         data = json.loads(text, parse_constant=_reject_constant,
                           object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
+    except ScenarioFormatError:   # a hook's refusal, which names what is wrong
+        raise
+    except ValueError as exc:   # not JSON, or an integer literal longer than int() converts
         raise ScenarioFormatError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -531,6 +531,21 @@ def test_allocate_failed_bargaining_exit_code(fixtures_dir, tmp_path, monkeypatc
     assert code == 5
 
 
+@pytest.mark.parametrize("distributed", [[], ["--distributed"]], ids=["centralized", "distributed"])
+def test_allocate_failed_split_of_a_capped_run_exits_4(tmp_path, capsys, distributed):
+    # a 1-user day whose run stops at 300 rounds with J_codes above the
+    # stand-alone total: the unconverged run, not the day, fails the split, so
+    # allocate exits 4 and names the status, not 5, and writes nothing
+    sc = gen_scenario(GenSpec(users=(1, 1), active=(1, 1), horizon=(5, 5), graph="complete"), 0)
+    path = write_scenario(tmp_path / "day.json", with_codes(sc, max_iters=300.0))
+    out = tmp_path / "out"
+    code = main(["allocate", *distributed, "--social-method", "codes",
+                 "--scenario", str(path), "--out-dir", str(out)])
+    assert code == 4
+    assert "iteration-cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_passes_on_pinned_fixture(fixtures_dir, tmp_path, capsys):
     code = main(["compare", "--scenario", str(fixtures_dir / "three_agent.json"),
                  "--out-dir", str(tmp_path)])

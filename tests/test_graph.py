@@ -4,7 +4,6 @@ import pytest
 from coopgrid.graph import (
     CommGraph,
     GraphError,
-    is_connected,
     metropolis_weights,
     run_consensus,
 )
@@ -38,17 +37,31 @@ def test_weights_doubly_stochastic_on_random_graphs():
         assert np.allclose(w, w.T, atol=1e-15)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-14)
         assert np.all(w >= -1e-15)
+        # exactly the Metropolis rule on the distinct undirected edges
+        pairs = {(min(a, b), max(a, b)) for a, b in edges}
+        deg = {i: sum(i in e for e in pairs) for i in ids}
+        expected = np.zeros_like(w)
+        for a, b in pairs:
+            i, j = g.node_ids.index(a), g.node_ids.index(b)
+            expected[i, j] = expected[j, i] = 1.0 / (1.0 + max(deg[a], deg[b]))
+        np.fill_diagonal(expected, 1.0 - expected.sum(axis=1))
+        assert g.edges == tuple(sorted(pairs))
+        assert np.array_equal(w, expected)
 
 
 def test_graph_rejects_bad_inputs():
-    with pytest.raises(GraphError):
-        metropolis_weights([1, 2, 3], [(1, 2)])          # node 3 unreachable
-    with pytest.raises(GraphError):
-        metropolis_weights([1, 2], [(1, 1), (1, 2)])     # self-loop
-    with pytest.raises(GraphError):
-        metropolis_weights([1, 2], [(1, 3)])             # unknown endpoint
-    with pytest.raises(GraphError):
-        metropolis_weights([1, 1, 2], [(1, 2)])          # duplicate id
+    for ids, edges, message in [
+        ([1, 2, 3], [(1, 2)], "communication graph is not connected"),      # 3 unreachable
+        ([], [], "communication graph is not connected"),                  # no node at all
+        ([1, 2], [(1, 1), (1, 2)], "self-loop on node 1"),
+        ([1, 2], [(1, 3)], r"edge \(1, 3\) references an unknown node"),
+        ([1, 2], [(1, 2), (2, 2), (3, 1)], "self-loop on node 2"),          # the first bad edge
+        ([1, 2], [(1, 2), (3, 1), (2, 2)], r"edge \(3, 1\) references an unknown node"),
+        ([], [(1, 2)], r"edge \(1, 2\) references an unknown node"),
+        ([1, 1, 2], [(1, 2)], "duplicate node ids"),
+    ]:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            metropolis_weights(ids, edges)
 
 
 def test_duplicate_and_reversed_edges_collapse():
@@ -57,8 +70,11 @@ def test_duplicate_and_reversed_edges_collapse():
 
 
 def test_is_connected():
-    assert is_connected([1, 2, 3], [(1, 2), (2, 3)])
-    assert not is_connected([1, 2, 3], [(1, 2)])
+    assert metropolis_weights([1, 2, 3], [(1, 2), (2, 3)]).edges == ((1, 2), (2, 3))
+    assert metropolis_weights([4, 1, 3, 2], [(4, 1), (3, 2), (2, 4)]).node_ids == (1, 2, 3, 4)
+    for ids, edges in (([1, 2, 3], [(1, 2)]), ([1, 2, 3, 4], [(1, 2), (3, 4)])):
+        with pytest.raises(GraphError, match="not connected"):
+            metropolis_weights(ids, edges)
 
 
 def test_mixing_step_conserves_mass_and_contracts():

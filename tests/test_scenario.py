@@ -115,6 +115,17 @@ def test_key_duplicated_inside_desd_rejected(tmp_path):
         load_scenario(p)
 
 
+def test_integer_longer_than_int_reads_is_a_format_error(fixtures_dir, tmp_path):
+    # json.loads refuses an integer literal of more than 4 300 digits with a plain
+    # ValueError; the reader names the file instead
+    data = json.loads((fixtures_dir / "arbitrage_t2.json").read_text())
+    data["tariff"]["buy"][0] = "HUGE"
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(data).replace('"HUGE"', "1" + "0" * 5000))
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{p} is not valid JSON")):
+        load_scenario(p)
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("horizon"), "horizon"),
     (lambda d: d.update(horizon="2"), "horizon"),
