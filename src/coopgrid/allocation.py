@@ -49,6 +49,8 @@ def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
 
 def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray) -> CostReport:
     selfish_costs = _selfish_costs(scenario, selfish_costs)
+    if not np.isfinite(j):   # a diverged run's cost has no split, as in run_consensus
+        raise BargainingError(f"cooperative cost {j} is not finite; there is nothing to split")
     if selfish_costs.sum() - j < -1e-9 * (1.0 + abs(j)):
         raise BargainingError(
             f"cooperative cost {j:.6f} exceeds the stand-alone total "

@@ -4,13 +4,9 @@ Exit codes are part of the interface:
   0  success
   2  scenario or argument validation failure (nothing is written)
   3  infeasible scenario
-  4  the distributed run ended iteration-cap or diverged, or consensus ran out
-     of rounds (artifacts are still written, except when allocate --distributed
-     cannot finish its consensus, out of rounds or handed a non-finite social
-     cost by a diverged run, or when allocate cannot split the cost of such a
-     run: with no split there is nothing to write)
-  5  bargaining failed: cooperation does not beat standing alone (the cost
-     comes from the LP or from a converged distributed run)
+  4  a distributed run did not converge (its artifacts are still written), or a split cannot
+     use a distributed run's cost or finish its consensus (nothing is written)
+  5  the LP's social cost exceeds the stand-alone total
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
 
@@ -48,14 +44,7 @@ from .codes import run_codes
 from .generate import GRAPH_FAMILIES, GenSpec, gen_scenario
 from .graph import GraphError
 from .lp import LpError
-from .scenario import (
-    Scenario,
-    ScenarioFormatError,
-    ScenarioValidationError,
-    dump_scenario,
-    load_scenario,
-    scenario_digest,
-)
+from .scenario import Scenario, dump_scenario, load_scenario, scenario_digest
 from .selfish import disagreement_point
 
 EXIT_OK = 0
@@ -94,8 +83,7 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_run(args, sc: Scenario, command: str, started: float, files: dict[str, str],
-              **fields) -> None:
+def write_run(args, sc: Scenario, started: float, files: dict[str, str], **fields) -> None:
     """Write a run's artifacts, {file name: text}, then its report.json.
 
     The report lists what was written under `schedule_files`.  It is strict
@@ -105,7 +93,7 @@ def write_run(args, sc: Scenario, command: str, started: float, files: dict[str,
     paths = [out_dir / name for name in files]
     for path, text in zip(paths, files.values()):
         write_atomic(path, text)
-    report = {"command": command, "scenario": str(Path(args.scenario)),
+    report = {"command": args.command, "scenario": str(Path(args.scenario)),
               "scenario_digest": scenario_digest(sc),
               "wall_time_s": time.perf_counter() - started,
               **fields, "schedule_files": sorted(map(str, paths))}
@@ -123,12 +111,6 @@ def _check_out(path: Path) -> None:
         raise ValueError(f"cannot write {path}: {ancestor} is not a directory")
 
 
-def _solve_oracle(sc: Scenario):
-    """The social optimum, its cost and its schedule CSV."""
-    schedule, j = solve_social(sc)
-    return schedule, j, {"schedule_centralized.csv": schedule_csv_text(sc, schedule)}
-
-
 def trace_csv_text(trace: np.ndarray) -> str:
     """A run's trace CSV, one row per round, reading `trace` a slice of rows at a time."""
     rows = itertools.chain.from_iterable(trace[s:s + CSV_SLICE_ROWS].tolist()
@@ -136,34 +118,38 @@ def trace_csv_text(trace: np.ndarray) -> str:
     return csv_text(TRACE_FIELDS, ([k, *row] for k, row in enumerate(rows)))
 
 
-def _solve_codes(sc: Scenario):
-    """A distributed run and its schedule and trace CSVs."""
-    result = run_codes(sc)
-    return result, {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
-                    "trace_codes.csv": trace_csv_text(result.trace)}
+def _codes_files(sc: Scenario, result) -> dict[str, str]:
+    """A distributed run's schedule and trace CSVs."""
+    return {"schedule_codes.csv": schedule_csv_text(sc, result.schedule),
+            "trace_codes.csv": trace_csv_text(result.trace)}
+
+
+def _run_exit(result, warning: str) -> int:
+    """Exit 4, after a warning naming how it stopped, for a distributed run that did
+    not converge; else 0.  `warning` is formatted with the run's status and stop."""
+    if result is None or result.converged:
+        return EXIT_OK
+    print("warning: " + warning.format(status=result.status, stop=STOPS[result.status]),
+          file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     _check_out(Path(args.out_dir) / "report.json")
     sc = load_scenario(args.scenario)
-    if args.codes:
-        result, files = _solve_codes(sc)
-        fields = {"method": "codes", "j": result.j, "config": dataclasses.asdict(result.config),
-                  "iterations": result.iterations, "converged": result.converged,
-                  "status": result.status}
-        print(f"distributed schedule J = {result.j:.6f} "
-              f"after {result.iterations} iterations")
+    result = run_codes(sc) if args.codes else None
+    if result:
+        print(f"distributed schedule J = {result.j:.6f} after {result.iterations} iterations")
+        write_run(args, sc, started, _codes_files(sc, result), method="codes", j=result.j,
+                  config=dataclasses.asdict(result.config), iterations=result.iterations,
+                  converged=result.converged, status=result.status)
     else:
-        _, j, files = _solve_oracle(sc)
-        fields = {"method": "centralized", "j": j, "config": {}, "iterations": 0,
-                  "converged": True}
+        schedule, j = solve_social(sc)
         print(f"centralized optimum J = {j:.6f}")
-    write_run(args, sc, "solve", started, files, **fields)
-    if not fields["converged"]:   # only a distributed run can end unconverged
-        print(f"warning: {result.status}: stopped {STOPS[result.status]}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        write_run(args, sc, started, {"schedule_centralized.csv": schedule_csv_text(sc, schedule)},
+                  method="centralized", j=j, config={}, iterations=0, converged=True)
+    return _run_exit(result, "{status}: stopped {stop}")
 
 
 def _check_tolerance(flag: str, value: float, zero_ok: bool = False) -> None:
@@ -189,14 +175,15 @@ def cmd_allocate(args) -> int:
         # running out of rounds: there is no split to write
         return _fail(EXIT_NO_CONVERGENCE, str(exc))
     except BargainingError as exc:
-        if result and not result.converged:   # the run's J, not the day, may be at fault
-            return _fail(EXIT_NO_CONVERGENCE, f"run ended {result.status} and its split failed: {exc}")
-        raise
+        if result is None:   # the LP's J exceeds the stand-alone total: exit 5
+            raise
+        # a codes J is only within its contract of the optimum, so the run is at fault
+        return _fail(EXIT_NO_CONVERGENCE, f"run ended {result.status} and its split failed: {exc}")
     consumption, netting_residual = consumption_costs(sc, schedule)
     rows = list(zip(report.agent_ids, report.selfish, report.allocated, consumption))
     costs = csv_text(["agent", "D", "J_alloc", "consumption", "epsilon"],
                      (row + (report.epsilon,) for row in rows))
-    write_run(args, sc, "allocate", started, {"costs.csv": costs},
+    write_run(args, sc, started, {"costs.csv": costs},
               method="distributed" if args.distributed else "centralized",
               social_method=args.social_method, j=j, epsilon=report.epsilon,
               rounds=report.rounds, netting_residual=netting_residual,
@@ -205,10 +192,7 @@ def cmd_allocate(args) -> int:
     for a, d, x, c in rows:
         print(f"{a:>6} {d:>12.6f} {x:>12.6f} {c:>12.6f}")
     print(f"social cost J = {j:.6f}, per-user saving epsilon = {report.epsilon:.6f}")
-    if result and not result.converged:
-        print(f"warning: social cost comes from a run that ended {result.status}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _run_exit(result, "social cost comes from a run that ended {status}")
 
 
 def cmd_compare(args) -> int:
@@ -216,19 +200,17 @@ def cmd_compare(args) -> int:
     _check_tolerance("--tol", args.tol, zero_ok=True)   # 0 demands an exact match
     _check_out(Path(args.out_dir) / "report.json")
     sc = load_scenario(args.scenario)
-    oracle_schedule, j_oracle, files = _solve_oracle(sc)
-    result, codes_files = _solve_codes(sc)
-    files.update(codes_files)
+    oracle, j_oracle = solve_social(sc)
+    result = run_codes(sc)
     gap = abs(result.j - j_oracle) / abs(j_oracle) if j_oracle != 0 else abs(result.j)
+    pairs = [(result.schedule.grid_buy_kw, oracle.grid_buy_kw),
+             (result.schedule.grid_sell_kw, oracle.grid_sell_kw),
+             *((result.schedule.desd_power_kw[a.id], oracle.desd_power_kw[a.id])
+               for a in sc.active_users)]
+    max_dev = float(max(np.abs(run - ref).max() for run, ref in pairs))
 
-    ids = [a.id for a in sc.active_users]
-    deviations = [np.abs(result.schedule.grid_buy_kw - oracle_schedule.grid_buy_kw).max(),
-                  np.abs(result.schedule.grid_sell_kw - oracle_schedule.grid_sell_kw).max()]
-    deviations += [np.abs(result.schedule.desd_power_kw[i]
-                          - oracle_schedule.desd_power_kw[i]).max() for i in ids]
-    max_dev = float(max(deviations))
-
-    write_run(args, sc, "compare", started, files,
+    files = {"schedule_centralized.csv": schedule_csv_text(sc, oracle), **_codes_files(sc, result)}
+    write_run(args, sc, started, files,
               j_codes=result.j, j_oracle=j_oracle, rel_gap=gap, tol=args.tol,
               max_schedule_deviation_kw=max_dev, iterations=result.iterations,
               converged=result.converged, status=result.status,
@@ -341,8 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError, GraphError,
-            json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:   # the reader's, the graph's and json's errors among them
         return _fail(EXIT_VALIDATION, str(exc))
     except InfeasibleScenarioError as exc:
         return _fail(EXIT_INFEASIBLE, str(exc))

@@ -73,6 +73,14 @@ def test_bargaining_error_when_cooperation_hurts():
         allocate_centralized(sc, j=5.0, selfish_costs=np.array([3.0, 1.0]))
 
 
+@pytest.mark.parametrize("j", [float("nan"), float("inf"), -float("inf")])
+def test_centralized_split_refuses_a_cost_that_is_not_finite(j):
+    # a diverged run's cost: the consensus split refuses it too
+    sc = two_user_scenario()
+    with pytest.raises(BargainingError, match="not finite"):
+        allocate_centralized(sc, j, np.array([3.0, 1.0]))
+
+
 def test_distributed_matches_centralized():
     rng = np.random.default_rng(53)
     for _ in range(20):

@@ -468,7 +468,7 @@ def test_a_day_whose_split_overflows_is_validation_error(tmp_path, capsys):
 
 
 def test_allocate_refuses_to_split_a_diverged_social_cost(fixtures_dir, tmp_path, capsys):
-    # a diverged codes run has J = NaN: consensus refuses it, so no shares are written
+    # a diverged codes run has J = NaN: neither split takes it, so no shares are written
     sc = load_scenario(fixtures_dir / "three_agent.json")
     wild = write_scenario(tmp_path / "wild.json", with_codes(sc, xi3=1e308, max_iters=300.0))
     out = tmp_path / "d"
@@ -478,14 +478,14 @@ def test_allocate_refuses_to_split_a_diverged_social_cost(fixtures_dir, tmp_path
     assert code == 4
     assert "not finite" in capsys.readouterr().err
     assert not (out / "costs.csv").exists() and not (out / "report.json").exists()
-    # the centralized split keeps writing its NaN shares, with the run's status
+    # the centralized split refuses it too, naming the run's status
     out = tmp_path / "c"
     with pytest.warns(RuntimeWarning):
         code = main(["allocate", "--social-method", "codes",
                      "--scenario", str(wild), "--out-dir", str(out)])
     assert code == 4
-    assert all(np.isnan(float(r["J_alloc"])) for r in read_csv(out / "costs.csv"))
-    assert read_report(out)["status"] == "diverged"
+    assert "run ended diverged" in capsys.readouterr().err
+    assert not (out / "costs.csv").exists() and not (out / "report.json").exists()
 
 
 def test_grid_only_scenario_is_rejected_before_allocating(fixtures_dir, tmp_path, capsys):
@@ -532,17 +532,25 @@ def test_allocate_failed_bargaining_exit_code(fixtures_dir, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("distributed", [[], ["--distributed"]], ids=["centralized", "distributed"])
-def test_allocate_failed_split_of_a_capped_run_exits_4(tmp_path, capsys, distributed):
-    # a 1-user day whose run stops at 300 rounds with J_codes above the
-    # stand-alone total: the unconverged run, not the day, fails the split, so
-    # allocate exits 4 and names the status, not 5, and writes nothing
-    sc = gen_scenario(GenSpec(users=(1, 1), active=(1, 1), horizon=(5, 5), graph="complete"), 0)
-    path = write_scenario(tmp_path / "day.json", with_codes(sc, max_iters=300.0))
+@pytest.mark.parametrize("spec, codes, status", [
+    # stops at 300 rounds with J_codes above the stand-alone total
+    (GenSpec(users=(1, 1), active=(1, 1), horizon=(5, 5), graph="complete"),
+     {"max_iters": 300.0}, "iteration-cap"),
+    # converges at round 11 023 with J_codes 1.9e-4 above the stand-alone total, which is J*
+    (GenSpec(users=(1, 1), active=(0, 0), horizon=(1, 1), graph="path"), {}, "converged"),
+], ids=["capped", "converged"])
+def test_allocate_failed_split_of_a_run_exits_4(tmp_path, capsys, distributed, spec, codes,
+                                                status):
+    # on a 1-user day cooperation costs nothing, so a split that fails is the
+    # run's fault, not the day's, whatever the run's status: allocate exits 4
+    # and names the status, not 5, and writes nothing
+    sc = gen_scenario(spec, 0)
+    path = write_scenario(tmp_path / "day.json", with_codes(sc, **codes))
     out = tmp_path / "out"
     code = main(["allocate", *distributed, "--social-method", "codes",
                  "--scenario", str(path), "--out-dir", str(out)])
     assert code == 4
-    assert "iteration-cap" in capsys.readouterr().err
+    assert f"run ended {status}" in capsys.readouterr().err
     assert not out.exists()
 
 

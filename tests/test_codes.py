@@ -31,7 +31,7 @@ def aggregate_desd(schedule):
 
 def test_config_defaults_overridden_by_fixture(fixtures_dir):
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    cfg = CodesConfig.from_scenario(sc)
+    cfg = sc.codes
     assert cfg.rho == 0.2
     assert cfg.xi1_desd == 0.03
     assert cfg.xi1_grid == 0.12
@@ -66,7 +66,7 @@ def test_three_agent_cost_matches_oracle(fixtures_dir):
     gap = abs(res.j - j_star) / abs(j_star)
     assert gap <= 5e-3
     assert res.iterations <= 20000
-    assert res.config == CodesConfig.from_scenario(sc)   # the file's settings, when none are given
+    assert res.config == sc.codes   # the file's settings, when none are given
     # end state is feasible at operating tolerances even mid limit cycle
     assert res.trace.max_imbalance_kw[-1] <= 1e-3
     assert check_schedule(sc, res.schedule, balance_tol_kw=1e-3, box_tol=1e-3) == []
@@ -116,7 +116,7 @@ def test_emitted_exchange_is_netted():
 def assert_matches_reference(sc, rounds):
     # the pins run past the end of the first chunk, so row 0 passes between chunks
     assert rounds > CHUNK
-    cfg = dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=rounds, tol_step=0.0)
+    cfg = dataclasses.replace(sc.codes, max_iters=rounds, tol_step=0.0)
     res = run_codes(sc, cfg)
     buses, trace = run_reference(sc, cfg, rounds)
     assert res.iterations == rounds
@@ -160,7 +160,7 @@ def test_consensus_update_is_local(fixtures_dir):
     # on the ring 1-2-3-4, bus 1 hears 2 and 4 but never 3: the mixing
     # matrix is nonzero exactly on the graph's edges and diagonal
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    cfg = CodesConfig.from_scenario(sc)
+    cfg = sc.codes
     row = {i: k for k, i in enumerate(sc.graph.node_ids)}
     pattern = np.eye(len(row), dtype=bool)
     for a, b in sc.graph.edges:
@@ -188,7 +188,7 @@ def test_consensus_update_is_local(fixtures_dir):
 
 def test_imbalance_estimates_conserve_the_total(fixtures_dir):
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    state = CodesState(sc, CodesConfig.from_scenario(sc))
+    state = CodesState(sc, sc.codes)
     base = sum(np.array(a.demand_kw) - np.array(a.renewable_kw) for a in sc.agents)
 
     def total_imbalance():
@@ -208,7 +208,7 @@ def test_imbalance_estimates_conserve_the_total(fixtures_dir):
 def test_slack_multipliers_rest_inside_the_energy_box(fixtures_dir):
     # estimates start at zero here, so only the energy box prices dispatch
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
-    cfg = CodesConfig.from_scenario(sc)
+    cfg = sc.codes
     inside = CodesState(sc, cfg)
     inside.p_desd[:] = [[-1.0, 1.0]]            # stays inside [emin, emax]
     inside.refresh_slacks()
@@ -243,7 +243,7 @@ def test_trace_rows_match_iterations_at_chunk_boundaries(fixtures_dir, rounds):
 def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
     # rounds run CHUNK at a time; the test that ends the run still reads every round
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
-    cfg = CodesConfig.from_scenario(sc)
+    cfg = sc.codes
     res = run_codes(sc, cfg)
     state, rows = CodesState(sc, cfg), []
     for _ in range(cfg.max_iters):
@@ -266,7 +266,7 @@ def test_chunked_run_stops_where_a_per_round_test_does(fixtures_dir):
 def test_a_runs_split_into_chunks_cannot_be_seen(fixtures_dir):
     # each chunk starts from row 0 and hands its last round back to row 0
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    cfg = CodesConfig.from_scenario(sc)
+    cfg = sc.codes
     runs = []
     for sizes in ((7, 32, 1, 32, 13), (32, 32, 21)):
         state = CodesState(sc, cfg)
@@ -279,7 +279,7 @@ def test_a_runs_split_into_chunks_cannot_be_seen(fixtures_dir):
 
 def test_diverging_run_stops_at_its_first_non_finite_round(fixtures_dir):
     sc = load_scenario(fixtures_dir / "three_agent.json")
-    cfg = dataclasses.replace(CodesConfig.from_scenario(sc), xi3=1e308, max_iters=300)
+    cfg = dataclasses.replace(sc.codes, xi3=1e308, max_iters=300)
     with pytest.warns(RuntimeWarning):
         res = run_codes(sc, cfg)
     assert not res.converged and res.status == "diverged"
@@ -292,7 +292,7 @@ def test_diverging_run_stops_at_its_first_non_finite_round(fixtures_dir):
 def test_huge_iteration_cap_records_only_the_rounds_run(fixtures_dir):
     # the trace grows with the run, not with max_iters
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
-    res = run_codes(sc, dataclasses.replace(CodesConfig.from_scenario(sc), max_iters=10**12))
+    res = run_codes(sc, dataclasses.replace(sc.codes, max_iters=10**12))
     assert res.converged
     assert len(res.trace) == res.iterations
 
