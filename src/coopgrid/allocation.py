@@ -7,12 +7,14 @@ equal-savings point
     J_i = D_i - (sum(D) - J) / r
 
 where D are the stand-alone costs, J the cooperative optimum and r the number
-of users.  It exists exactly when cooperation helps at all (J <= sum(D)).
+of users.  It exists exactly when J is finite and J <= sum(D), which both
+methods decide by one rule: _selfish_costs, then _check_saving.
 
-allocate_distributed reaches the same split without any central adder: every
+allocate_distributed reaches the same split by averaging consensus: every
 user starts a consensus variable at its own D_i, the grid interface starts at
--J, and averaging consensus converges to (sum(D) - J) / (r + 1), from which
-each node recovers its own share locally.
+-J, and the nodes converge to (sum(D) - J) / (r + 1), from which each user
+recovers its own share locally.  Its epsilon, though, is read from the mean
+of every node's estimate, a global read.
 """
 
 from __future__ import annotations
@@ -39,22 +41,28 @@ class CostReport:
     rounds: int = 0                     # consensus rounds when distributed
 
 
-def _selfish_costs(scenario: Scenario, selfish_costs) -> np.ndarray:
+def _selfish_costs(scenario: Scenario, j: float, selfish_costs) -> np.ndarray:
+    """Both splits' input check: one stand-alone cost per user, and a finite J."""
     selfish_costs = np.asarray(selfish_costs, dtype=float)
     if selfish_costs.size != scenario.n_users:
         raise ValueError(f"expected {scenario.n_users} stand-alone costs, "
                          f"got {selfish_costs.size}")
+    if not np.isfinite(j):   # a diverged run's cost has no split
+        raise BargainingError(f"cooperative cost {j} is not finite; there is nothing to split")
     return selfish_costs
 
 
-def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray) -> CostReport:
-    selfish_costs = _selfish_costs(scenario, selfish_costs)
-    if not np.isfinite(j):   # a diverged run's cost has no split, as in run_consensus
-        raise BargainingError(f"cooperative cost {j} is not finite; there is nothing to split")
-    if selfish_costs.sum() - j < -1e-9 * (1.0 + abs(j)):
+def _check_saving(j: float, saving: float) -> None:
+    """Both splits' loss test on the total saving sum(D) - J."""
+    if saving < -1e-9 * (1.0 + abs(j)):
         raise BargainingError(
             f"cooperative cost {j:.6f} exceeds the stand-alone total "
-            f"{selfish_costs.sum():.6f}; there is no allocation everyone accepts")
+            f"{j + saving:.6f}; there is no allocation everyone accepts")
+
+
+def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray) -> CostReport:
+    selfish_costs = _selfish_costs(scenario, j, selfish_costs)
+    _check_saving(j, selfish_costs.sum() - j)
     epsilon = (selfish_costs.sum() - j) / scenario.n_users
     return CostReport(tuple(a.id for a in scenario.users), selfish_costs,
                       selfish_costs - epsilon, float(epsilon))
@@ -62,14 +70,11 @@ def allocate_centralized(scenario: Scenario, j: float, selfish_costs: np.ndarray
 
 def allocate_distributed(scenario: Scenario, j: float, selfish_costs: np.ndarray,
                          tol: float = 1e-6) -> CostReport:
-    """Equal-savings split computed by averaging consensus on the scenario graph.
-
-    Node values start at D_i (users) and -J (grid); their average is
-    (sum(D) - J) / (r + 1) and each user reads its share off its own final
-    estimate.  The per-node consensus target is tightened by r / (r + 1) so
-    the recovered shares match the centralized split within tol.
+    """Equal-savings split computed by averaging consensus on the scenario graph,
+    as the module docstring describes.  The per-node consensus target is tightened
+    by r / (r + 1) so the recovered shares match the centralized split within tol.
     """
-    selfish_costs = _selfish_costs(scenario, selfish_costs)
+    selfish_costs = _selfish_costs(scenario, j, selfish_costs)
     r = scenario.n_users
     # graph node k is scenario.agents[k]: both are in id order
     is_user = np.array([a.role != ROLE_GRID for a in scenario.agents])
@@ -78,10 +83,7 @@ def allocate_distributed(scenario: Scenario, j: float, selfish_costs: np.ndarray
     state = run_consensus(initial, scenario.graph, tol=tol * r / (r + 1))
     # the node average is conserved, so the mean estimate carries no consensus error
     epsilon = (r + 1) / r * float(state.values.mean())
-    if epsilon < -1e-9 * (1.0 + abs(j)):
-        raise BargainingError(
-            f"consensus found negative savings ({epsilon:.6f} per user); "
-            "cooperation does not pay here")
+    _check_saving(j, r * epsilon)   # the total saving the consensus conserves
     allocated = selfish_costs - (r + 1) / r * state.values[is_user]
     return CostReport(tuple(a.id for a in scenario.users), selfish_costs, allocated,
                       epsilon, state.iteration)

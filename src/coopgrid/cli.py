@@ -4,9 +4,9 @@ Exit codes are part of the interface:
   0  success
   2  scenario or argument validation failure (nothing is written)
   3  infeasible scenario
-  4  a distributed run did not converge (its artifacts are still written), or a split cannot
-     use a distributed run's cost or finish its consensus (nothing is written)
-  5  the LP's social cost exceeds the stand-alone total
+  4  a distributed run did not converge (its artifacts are still written), or allocate has no
+     split: a codes run's cost is refused, or consensus ran out of rounds (nothing is written)
+  5  the LP's social cost exceeds the stand-alone total by more than 1e-9 (1 + |J|)
   6  compare: cost gap above tolerance
   7  internal solver fault (a bug, not a property of the scenario)
 
@@ -169,10 +169,7 @@ def cmd_allocate(args) -> int:
     try:
         report = (allocate_distributed(sc, j, selfish, tol=args.graph_tol) if args.distributed
                   else allocate_centralized(sc, j, selfish))
-    except GraphError as exc:
-        # the graph itself was validated at load time, so this is the
-        # consensus refusing a non-finite J (a diverged codes run) or
-        # running out of rounds: there is no split to write
+    except GraphError as exc:   # J passed the split's input check, so consensus ran out of rounds
         return _fail(EXIT_NO_CONVERGENCE, str(exc))
     except BargainingError as exc:
         if result is None:   # the LP's J exceeds the stand-alone total: exit 5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coopgrid import allocation
 from coopgrid.allocation import (
     BargainingError,
     allocate_centralized,
@@ -10,7 +11,7 @@ from coopgrid.allocation import (
 from coopgrid.centralized import solve_social
 from coopgrid.generate import GenSpec, gen_scenario
 from coopgrid.graph import metropolis_weights
-from coopgrid.scenario import AgentSpec, Scenario, Tariff
+from coopgrid.scenario import AgentSpec, Scenario, Tariff, load_scenario
 from coopgrid.selfish import disagreement_point
 
 from tiny_scenarios import tiny_scenario
@@ -73,12 +74,35 @@ def test_bargaining_error_when_cooperation_hurts():
         allocate_centralized(sc, j=5.0, selfish_costs=np.array([3.0, 1.0]))
 
 
+SPLITS = [pytest.param(allocate_centralized, id="centralized"),
+          pytest.param(allocate_distributed, id="distributed")]
+
+
 @pytest.mark.parametrize("j", [float("nan"), float("inf"), -float("inf")])
-def test_centralized_split_refuses_a_cost_that_is_not_finite(j):
-    # a diverged run's cost: the consensus split refuses it too
+@pytest.mark.parametrize("split", SPLITS)
+def test_both_splits_refuse_a_cost_that_is_not_finite(split, j, monkeypatch):
+    # a diverged run's cost: refused by the split's own input check, before any
+    # consensus round
+    monkeypatch.setattr(allocation, "run_consensus", None)
     sc = two_user_scenario()
-    with pytest.raises(BargainingError, match="not finite"):
-        allocate_centralized(sc, j, np.array([3.0, 1.0]))
+    with pytest.raises(BargainingError, match=f"cooperative cost {j} is not finite"):
+        split(sc, j, np.array([3.0, 1.0]))
+
+
+@pytest.mark.parametrize("k, refused", [(0.5, False), (1.5, True), (2.0, True), (2.9, True)])
+@pytest.mark.parametrize("split", SPLITS)
+def test_both_splits_give_one_verdict_near_the_loss_bound(fixtures_dir, split, k, refused):
+    # J = sum(D) + k 1e-9 (1 + sum(D)): the split exists while the total saving
+    # sum(D) - J is within 1e-9 (1 + |J|), however many users share it
+    sc = load_scenario(fixtures_dir / "three_agent.json")
+    d = np.array([1.0, 2.0, 3.0])
+    j = d.sum() + k * 1e-9 * (1.0 + d.sum())
+    if refused:
+        with pytest.raises(BargainingError, match="exceeds the stand-alone total 6.000000"):
+            split(sc, j, d)
+    else:
+        report = split(sc, j, d)
+        assert abs(report.epsilon + k * 7e-9 / 3) <= 1e-14
 
 
 def test_distributed_matches_centralized():
@@ -96,7 +120,8 @@ def test_distributed_matches_centralized():
 
 def test_distributed_bargaining_error():
     sc = two_user_scenario()
-    with pytest.raises(BargainingError):
+    with pytest.raises(BargainingError, match="cooperative cost 5.000000 exceeds the stand-alone "
+                                              "total 4.000000"):
         allocate_distributed(sc, j=5.0, selfish_costs=np.array([3.0, 1.0]))
 
 

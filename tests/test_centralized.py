@@ -468,6 +468,19 @@ def test_check_schedule_flags_tampering(fixtures_dir):
     sc = load_scenario(fixtures_dir / "arbitrage_t2.json")
     schedule, _ = solve_social(sc)
 
+    def faults_of(**fields):
+        return check_schedule(sc, dataclasses.replace(schedule, **fields))
+
+    # e0 = emin = 1 kWh, a 10 kW grid limit and 4 kW ratings, over two steps
+    assert "grid_buy_kw negative at step 1" in faults_of(grid_buy_kw=np.array([0.0, -1.0]))
+    assert "grid_sell_kw exceeds the grid limit at step 0" in faults_of(
+        grid_sell_kw=np.array([11.0, 0.0]))
+    assert faults_of(desd_power_kw={}) == ["device set [] does not match active agents [1]"]
+    assert "agent 1: dispatch spans 3 steps, scenario has 2" in faults_of(
+        desd_power_kw={1: np.zeros(3)})
+    assert "agent 1: stored energy below emin at step 0" in faults_of(
+        desd_power_kw={1: np.array([1.0, 0.0])})
+
     schedule.grid_buy_kw[0] += 0.5
     faults = check_schedule(sc, schedule)
     assert any("balance" in f for f in faults)

@@ -468,24 +468,20 @@ def test_a_day_whose_split_overflows_is_validation_error(tmp_path, capsys):
 
 
 def test_allocate_refuses_to_split_a_diverged_social_cost(fixtures_dir, tmp_path, capsys):
-    # a diverged codes run has J = NaN: neither split takes it, so no shares are written
+    # a diverged codes run has J = NaN: neither split takes it, so no shares are
+    # written, and both name the run's status
     sc = load_scenario(fixtures_dir / "three_agent.json")
     wild = write_scenario(tmp_path / "wild.json", with_codes(sc, xi3=1e308, max_iters=300.0))
-    out = tmp_path / "d"
-    with pytest.warns(RuntimeWarning):
-        code = main(["allocate", "--distributed", "--social-method", "codes",
-                     "--scenario", str(wild), "--out-dir", str(out)])
-    assert code == 4
-    assert "not finite" in capsys.readouterr().err
-    assert not (out / "costs.csv").exists() and not (out / "report.json").exists()
-    # the centralized split refuses it too, naming the run's status
-    out = tmp_path / "c"
-    with pytest.warns(RuntimeWarning):
-        code = main(["allocate", "--social-method", "codes",
-                     "--scenario", str(wild), "--out-dir", str(out)])
-    assert code == 4
-    assert "run ended diverged" in capsys.readouterr().err
-    assert not (out / "costs.csv").exists() and not (out / "report.json").exists()
+    for split in (["--distributed"], []):
+        out = tmp_path / f"out{len(split)}"
+        with pytest.warns(RuntimeWarning):
+            code = main(["allocate", *split, "--social-method", "codes",
+                         "--scenario", str(wild), "--out-dir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == ("error: run ended diverged and its split failed: "
+                                           "cooperative cost nan is not finite; there is "
+                                           "nothing to split\n")
+        assert not out.exists()
 
 
 def test_grid_only_scenario_is_rejected_before_allocating(fixtures_dir, tmp_path, capsys):
@@ -630,6 +626,26 @@ def test_infeasible_scenario_exit_code(tmp_path):
     squeezed = dataclasses.replace(sc, p_grid_max_kw=0.01)
     path = write_scenario(tmp_path / "squeezed.json", squeezed)
     assert main(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 3
+
+
+def test_renewable_surplus_above_the_grid_limit_exits_3(tmp_path, capsys):
+    # 46 kW of sun on 1 kW of demand at step 1: a 45 kW surplus, against a 30 kW
+    # export limit and a 1 kW charge rating
+    battery = DesdSpec(e0_kwh=2.0, emin_kwh=0.0, emax_kwh=4.0,
+                       p_charge_max_kw=1.0, p_discharge_max_kw=1.0)
+    t = 3
+    agents = (AgentSpec(id=1, role="active", demand_kw=(1.0,) * t,
+                        renewable_kw=(0.0, 46.0, 0.0), desd=battery),
+              AgentSpec(id=2, role="grid", demand_kw=(0.0,) * t, renewable_kw=(0.0,) * t))
+    sc = Scenario(horizon=t, dt_hours=1.0, p_grid_max_kw=30.0,
+                  tariff=Tariff(buy=(0.2,) * t, sell=(0.1,) * t), agents=agents,
+                  graph=metropolis_weights([1, 2], [(1, 2)]))
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(write_scenario(tmp_path / "sunny.json", sc)),
+                 "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: step 1: renewable surplus 45.000 kW exceeds the "
+                                       "grid limit 30.0 kW even at full charge\n")
+    assert not out.exists()
 
 
 def test_infeasible_owner_in_the_middle_of_the_stand_alone_chain(tmp_path, capsys,

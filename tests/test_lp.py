@@ -73,6 +73,14 @@ def test_redundant_equality_rows():
     assert np.allclose(sol.x, [0.0, 2.0], rtol=0.0, atol=1e-9)
     ref = enumerate_lp_vertices(lp)
     assert ref.status == "optimal" and abs(ref.objective_value) < 1e-9
+    # phase 1 leaves the doubled row's artificial basic (this LP has no slack),
+    # so a warm solve of a new right-hand side from this optimum starts cold
+    assert (sol.tableau.basis >= lp.n_vars).any()
+    moved = LinearProgram(f=lp.f, a_eq=lp.a_eq, b_eq=[3.0, 6.0], lower=lp.lower, upper=lp.upper)
+    warm, cold = solve_lp(moved, warm=sol), solve_lp(moved)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective_value == cold.objective_value
+    assert np.array_equal(warm.x, cold.x) and np.allclose(cold.x, [0.0, 3.0], rtol=0.0, atol=1e-9)
 
 
 ARTIFICIAL_LEFT_LPS = [
